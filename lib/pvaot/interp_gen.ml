@@ -557,7 +557,7 @@ let scalar_size_of s = Types.scalar_size s
     memory operation at [a_] of [sz] bytes.  The slow path re-runs the
     engine's own checker, which raises the exact [Memory.Fault]. *)
 let emit_bounds st sz =
-  line st "if a_ < ng_ || a_ + %d > sz_ then M.check mem_ a_ %d;" sz sz
+  line st "if a_ < ng_ || a_ > sz_ - %d then M.check mem_ a_ %d;" sz sz
 
 (** Emit [let a_ = <byte address> in] from the base register + offset. *)
 let emit_addr st base off =
@@ -1249,15 +1249,10 @@ let header =
     "fall back". *)
 let generate (img : Pvvm.Image.t) ~dispatch_cost : string * string * string =
   let prog = img.Pvvm.Image.prog in
-  (* The pretty-printed program alone under-keys the cache: [Pp] never
-     prints global annotations, so two programs differing only in their
-     annotation sets would collide.  Fold the canonical annotation dump
-     in as its own section. *)
   let digest =
     Build.digest_of_dump
-      (Printf.sprintf "interp\x00%d\x00%s\x00annots\x00%s" dispatch_cost
-         (Pvir.Pp.program_to_string prog)
-         (Pvir.Prog.annotations_dump prog))
+      (Printf.sprintf "interp\x00%d\x00%s" dispatch_cost
+         (Pvir.Serial.digest prog))
   in
   let buf = Buffer.create 8192 in
   Buffer.add_string buf header;

@@ -16,7 +16,8 @@
       executed spill operations.
 
     Paths are named so a harness can subset them ([--engines]):
-    [interp-tw], [interp-th], [serial] (binary encode/decode round-trip),
+    [interp-tw], [interp-th], [serial] (binary encode/decode round-trip,
+    which must also reproduce the bytes),
     [text] (printer/parser round-trip), and [jit-MACHINE] for every
     registered machine descriptor. *)
 
@@ -223,10 +224,31 @@ let check ?(paths = all_paths) (prog : Prog.t) : mismatch list =
           };
         ]
   end;
-  (* distribution round-trips re-interpreted with the reference engine *)
+  (* distribution round-trips re-interpreted with the reference engine;
+     the bytes must also survive the round trip, because every cache
+     names a program by the digest of its bytes *)
   if want "serial" then begin
-    match Serial.decode (Serial.encode prog) with
+    let bytes = Serial.encode prog in
+    match Serial.decode bytes with
     | decoded ->
+      let again = Serial.encode decoded in
+      if not (String.equal again bytes) then begin
+        let n = min (String.length again) (String.length bytes) in
+        let rec first_diff i =
+          if i < n && again.[i] = bytes.[i] then first_diff (i + 1) else i
+        in
+        add
+          [
+            {
+              path = "serial";
+              what = "canonical";
+              detail =
+                Printf.sprintf
+                  "re-encoding differs at byte %d (%d bytes vs %d)"
+                  (first_diff 0) (String.length again) (String.length bytes);
+            };
+          ]
+      end;
       add (compare_obs ~path:"serial" reference.iobs
              (run_interp decoded Pvvm.Interp.Tree_walk).iobs)
     | exception Serial.Corrupt c ->

@@ -167,10 +167,6 @@ let decode_result ?limits (s : string) : (t, Serial.corruption) result =
   | snap -> Ok snap
   | exception Serial.Corrupt c -> Error c
 
-(** Digest a program the way snapshots name one. *)
-let prog_digest (p : Prog.t) : string =
-  Digest.to_hex (Digest.string (Serial.encode p))
-
 let to_file path s =
   let oc = open_out_bin path in
   Fun.protect

@@ -30,7 +30,7 @@ type frame = {
 }
 
 type t = {
-  ck_prog : string;  (** MD5 hex digest of [Serial.encode prog] *)
+  ck_prog : string;  (** {!Serial.digest} of the program *)
   ck_mem : string;  (** full guest memory image *)
   ck_gsp : int;  (** stack pointer at capture *)
   ck_cycles : int64;
@@ -48,9 +48,6 @@ val decode : ?limits:Serial.limits -> string -> t
 
 val decode_result :
   ?limits:Serial.limits -> string -> (t, Serial.corruption) result
-
-(** Digest a program the way snapshots name one. *)
-val prog_digest : Prog.t -> string
 
 val to_file : string -> t -> unit
 val of_file : string -> t

@@ -102,31 +102,3 @@ let copy p =
     externs = p.externs;
     annots = p.annots;
   }
-
-(** Canonical dump of {e every} annotation surface of [p]: program-level,
-    per-global, per-function and per-loop sets, each sorted by key.
-    Two programs get equal dumps iff their annotation sets are equal —
-    this is the "annotation-set digest" half of content-addressed
-    compiled-code cache keys.  Note that the pretty-printer is {e not} a
-    substitute: {!Pp.program_to_string} never prints global annotations,
-    so programs differing only in [gannots] render identically. *)
-let annotations_dump (p : t) : string =
-  let buf = Buffer.create 256 in
-  let set scope (a : Annot.t) =
-    List.iter
-      (fun (k, v) ->
-        Printf.bprintf buf "%s!%s=%s\n" scope k (Annot.value_to_string v))
-      (List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) a)
-  in
-  set "prog:" p.annots;
-  List.iter (fun g -> set (Printf.sprintf "global:%s:" g.gname) g.gannots)
-    p.globals;
-  List.iter
-    (fun (fn : Func.t) ->
-      set (Printf.sprintf "func:%s:" fn.Func.name) fn.Func.annots;
-      List.iter
-        (fun (header, a) ->
-          set (Printf.sprintf "loop:%s:%d:" fn.Func.name header) a)
-        (List.sort compare fn.Func.loop_annots))
-    p.funcs;
-  Buffer.contents buf

@@ -644,6 +644,9 @@ let encode (p : Prog.t) : string =
   w_list b w_func p.funcs;
   Buffer.contents b
 
+(** The program's one identity: MD5 hex of its distribution bytes. *)
+let digest (p : Prog.t) : string = Digest.to_hex (Digest.string (encode p))
+
 (** Parse binary bytecode back into a program.
     @raise Corrupt on malformed input. *)
 let decode ?(limits = default_limits) (s : string) : Prog.t =

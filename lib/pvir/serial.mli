@@ -82,6 +82,13 @@ val r_value : reader -> Value.t
 (** Serialize a program to its binary bytecode form. *)
 val encode : Prog.t -> string
 
+(** The program's one identity: MD5 hex of {!encode}.  Snapshots, the
+    AOT plugin cache and the compile service all name a program by it.
+    [decode (encode p) = p], so equal digests mean equal programs, and
+    [encode (decode b) = b] on everything {!encode} produces, so a cache
+    keyed on a request's raw bytes loses no hits. *)
+val digest : Prog.t -> string
+
 (** Parse binary bytecode back into a program.
     @raise Corrupt on malformed input. *)
 val decode : ?limits:limits -> string -> Prog.t

@@ -1,50 +1,31 @@
 (** Content-addressed cache keys for the split-compilation service.
 
-    A compiled artifact is a pure function of three inputs, so the key is
-    the triple of their digests:
+    A compiled artifact is a pure function of the distribution bytes and
+    the machine descriptor, so the key is the pair of their digests:
 
-    - the PVIR program {e code} — pretty-printed with every annotation
-      surface stripped first, so that re-annotating a program moves only
-      the annotation digest;
+    - the program — MD5 of the request's raw bytecode, which is
+      {!Pvir.Serial.digest} of the program it decodes to.  Annotations
+      are part of the bytes, so re-annotating a program moves the key;
     - the machine descriptor — {!Pvmach.Machine.descriptor_dump}, i.e.
       register files, SIMD shape, capabilities and the full cost table
-      (the name alone would not survive a descriptor edit);
-    - the annotation set — {!Pvir.Prog.annotations_dump}, the canonical
-      dump of program/global/function/loop annotations.  This component
-      exists because the pretty-printer never renders global annotations:
-      without it, two requests differing only in annotations collide and
-      the second tenant is served the first one's artifact. *)
+      (the name alone would not survive a descriptor edit). *)
 
 type t = {
-  pvir : string;  (** digest of the annotation-stripped program text *)
+  prog : string;  (** digest of the distribution bytes *)
   machine : string;  (** digest of the machine descriptor *)
-  annots : string;  (** digest of the canonical annotation dump *)
 }
 
 let hex s = Digest.to_hex (Digest.string s)
 
-(* Strip every annotation surface on a copy; [Prog.copy] shares globals,
-   so rebuild those records too. *)
-let strip_annotations (p : Pvir.Prog.t) : Pvir.Prog.t =
-  let p' = Pvir.Prog.copy p in
-  p'.Pvir.Prog.annots <- Pvir.Annot.empty;
-  p'.Pvir.Prog.globals <-
-    List.map
-      (fun g -> { g with Pvir.Prog.gannots = Pvir.Annot.empty })
-      p'.Pvir.Prog.globals;
-  List.iter
-    (fun (fn : Pvir.Func.t) ->
-      fn.Pvir.Func.annots <- Pvir.Annot.empty;
-      fn.Pvir.Func.loop_annots <- [])
-    p'.Pvir.Prog.funcs;
-  p'
-
-let of_program ~(machine : Pvmach.Machine.t) (p : Pvir.Prog.t) : t =
+(** Key of untrusted request bytes, derived without decoding them. *)
+let of_bytecode ~(machine : Pvmach.Machine.t) (bytecode : string) : t =
   {
-    pvir = hex (Pvir.Pp.program_to_string (strip_annotations p));
+    prog = hex bytecode;
     machine = hex (Pvmach.Machine.descriptor_dump machine);
-    annots = hex (Pvir.Prog.annotations_dump p);
   }
 
+let of_program ~machine (p : Pvir.Prog.t) : t =
+  of_bytecode ~machine (Pvir.Serial.encode p)
+
 (** Flat form used as hash-table key and in artifact headers. *)
-let to_string k = Printf.sprintf "%s/%s/%s" k.pvir k.machine k.annots
+let to_string k = Printf.sprintf "%s/%s" k.prog k.machine

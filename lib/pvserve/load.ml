@@ -168,16 +168,11 @@ let run ?tr ?(metrics = Pvtrace.Metrics.create ()) ?ledger (spec : spec) :
          (fun (name, bc) ->
            List.map
              (fun m ->
-               let key =
-                 match Pvir.Serial.decode_result bc with
-                 | Ok p -> Key.to_string (Key.of_program ~machine:m p)
-                 | Error _ -> assert false (* we just encoded it *)
-               in
                {
                  i_name = name;
                  i_bytecode = bc;
                  i_machine = m;
-                 i_key = key;
+                 i_key = Key.to_string (Key.of_bytecode ~machine:m bc);
                })
              spec.machines)
          progs)

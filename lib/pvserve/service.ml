@@ -3,13 +3,15 @@
     cache with in-flight deduplication.
 
     A request carries distribution bytecode (what a device would upload)
-    plus the machine descriptor to compile for.  A worker decodes it,
-    derives the {!Key.t}, and then takes exactly one of three paths:
+    plus the machine descriptor to compile for.  A worker derives the
+    {!Key.t} from the raw bytes, and then takes exactly one of three
+    paths:
 
-    - {b hit} — the artifact is in the cache; reply immediately;
-    - {b miss, first} — mark the key in-flight, compile {e outside} the
-      service lock, insert, reply, and wake every waiter that piled up
-      behind the same key meanwhile;
+    - {b hit} — the artifact is in the cache; reply immediately, without
+      decoding;
+    - {b miss, first} — mark the key in-flight, decode and compile
+      {e outside} the service lock, insert, reply, and wake every waiter
+      that piled up behind the same key meanwhile;
     - {b miss, coalesced} — the key is already in flight; park the ticket
       on the in-flight waiter list and move on to the next job.  N
       concurrent misses on one key therefore cost exactly one compile.
@@ -112,7 +114,7 @@ let compile_artifact ~(machine : Pvmach.Machine.t) (bytecode : string) :
   match Pvir.Serial.decode_result bytecode with
   | Error c -> Error ("decode: " ^ Pvir.Serial.corruption_to_string c)
   | Ok prog -> (
-    let key = Key.of_program ~machine prog in
+    let key = Key.of_bytecode ~machine bytecode in
     match
       let img = Pvvm.Image.load prog in
       Pvjit.Jit.compile_program ~machine ~hints:Pvjit.Jit.Hints_annotation img
@@ -163,89 +165,68 @@ let reply_metrics t (r : reply) =
   | Error _ -> Pvtrace.Metrics.inc1 t.metrics "serve.errors"
 
 let serve_job t (tk : ticket) =
-  let machine = tk.req.machine in
-  (* Derive the key outside any lock: decoding is per-request work. *)
-  match Pvir.Serial.decode_result tk.req.bytecode with
-  | Error c ->
-    let r =
-      {
-        outcome = Error ("decode: " ^ Pvir.Serial.corruption_to_string c);
-        origin = Compiled;
-      }
-    in
+  (* Key the raw bytes outside any lock; only a miss decodes.  Errors are
+     never cached, so every cached key names bytes that decoded and
+     compiled, and garbage always reaches [compile_artifact]'s error. *)
+  let key =
+    Key.to_string (Key.of_bytecode ~machine:tk.req.machine tk.req.bytecode)
+  in
+  (* One critical section decides hit / first-miss / coalesce, so two
+     concurrent misses on one key can never both elect to compile. *)
+  let decision =
+    protect t.smu (fun () ->
+        match Cache.find t.cache key with
+        | Some artifact -> `Hit artifact
+        | None -> (
+          match Hashtbl.find_opt t.inflight key with
+          | Some waiters ->
+            waiters := tk :: !waiters;
+            `Parked
+          | None ->
+            Hashtbl.replace t.inflight key (ref []);
+            `Compile))
+  in
+  match decision with
+  | `Hit artifact ->
+    let r = { outcome = Ok artifact; origin = Hit } in
     reply_metrics t r;
     fulfill tk r
-  | Ok prog -> (
-    let key = Key.to_string (Key.of_program ~machine prog) in
-    (* One critical section decides hit / first-miss / coalesce, so two
-       concurrent misses on one key can never both elect to compile. *)
-    let decision =
+  | `Parked -> ()  (* the compiling worker will fulfill this ticket *)
+  | `Compile ->
+    let t0 = Unix.gettimeofday () in
+    let outcome = compile_artifact ~machine:tk.req.machine tk.req.bytecode in
+    Atomic.incr t.compiles;
+    Pvtrace.Metrics.inc1 t.metrics "serve.compiles";
+    Pvtrace.Metrics.observe t.metrics "serve.compile_us"
+      (Int64.of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.));
+    (* Publish before unparking: insert on success, then claim the
+       waiter list and drop the in-flight mark in the same critical
+       section that decided it. *)
+    let waiters =
       protect t.smu (fun () ->
-          match Cache.find t.cache key with
-          | Some artifact -> `Hit artifact
-          | None -> (
+          (match outcome with
+          | Ok artifact -> Cache.insert t.cache key artifact
+          | Error _ -> ());
+          let ws =
             match Hashtbl.find_opt t.inflight key with
-            | Some waiters ->
-              waiters := tk :: !waiters;
-              `Parked
-            | None ->
-              Hashtbl.replace t.inflight key (ref []);
-              `Compile))
+            | Some ws -> !ws
+            | None -> []
+          in
+          Hashtbl.remove t.inflight key;
+          ws)
     in
-    match decision with
-    | `Hit artifact ->
-      let r = { outcome = Ok artifact; origin = Hit } in
-      reply_metrics t r;
-      fulfill tk r
-    | `Parked -> ()  (* the compiling worker will fulfill this ticket *)
-    | `Compile ->
-      let t0 = Unix.gettimeofday () in
-      let outcome =
-        match
-          let img = Pvvm.Image.load prog in
-          Pvjit.Jit.compile_program ~machine
-            ~hints:Pvjit.Jit.Hints_annotation img
-        with
-        | sim, report ->
-          Ok
-            (render_artifact ~machine
-               (Key.of_program ~machine prog)
-               sim report)
-        | exception e -> Error ("compile: " ^ Printexc.to_string e)
-      in
-      Atomic.incr t.compiles;
-      Pvtrace.Metrics.inc1 t.metrics "serve.compiles";
-      Pvtrace.Metrics.observe t.metrics "serve.compile_us"
-        (Int64.of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.));
-      (* Publish before unparking: insert on success, then claim the
-         waiter list and drop the in-flight mark in the same critical
-         section that decided it. *)
-      let waiters =
-        protect t.smu (fun () ->
-            (match outcome with
-            | Ok artifact -> Cache.insert t.cache key artifact
-            | Error _ -> ());
-            let ws =
-              match Hashtbl.find_opt t.inflight key with
-              | Some ws -> !ws
-              | None -> []
-            in
-            Hashtbl.remove t.inflight key;
-            ws)
-      in
-      let self = { outcome; origin = Compiled } in
-      reply_metrics t self;
-      fulfill tk self;
-      List.iter
-        (fun w ->
-          let r = { outcome; origin = Coalesced } in
-          reply_metrics t r;
-          fulfill w r)
-        (List.rev waiters);
-      let cs = Cache.stats t.cache in
-      Pvtrace.Metrics.seti t.metrics "serve.cache_bytes" cs.Cache.s_bytes;
-      Pvtrace.Metrics.seti t.metrics "serve.evictions"
-        cs.Cache.s_evictions)
+    let self = { outcome; origin = Compiled } in
+    reply_metrics t self;
+    fulfill tk self;
+    List.iter
+      (fun w ->
+        let r = { outcome; origin = Coalesced } in
+        reply_metrics t r;
+        fulfill w r)
+      (List.rev waiters);
+    let cs = Cache.stats t.cache in
+    Pvtrace.Metrics.seti t.metrics "serve.cache_bytes" cs.Cache.s_bytes;
+    Pvtrace.Metrics.seti t.metrics "serve.evictions" cs.Cache.s_evictions
 
 let worker_loop t () =
   let rec next () =

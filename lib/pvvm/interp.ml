@@ -82,7 +82,7 @@ type t = {
           catch-free while unarmed. *)
   mutable ckpt_snap : Pvir.Ckpt.t option;  (** last captured snapshot *)
   mutable pdigest : string option;
-      (** memoized [Ckpt.prog_digest] of the loaded program *)
+      (** memoized [Serial.digest] of the loaded program *)
   mutable sampler : Pvprof.t option;
       (** sampling profiler: polled at block entries (the checkpoint
           safepoints) against the cycle clock, so profiled and
@@ -174,7 +174,7 @@ let prog_digest t =
   match t.pdigest with
   | Some d -> d
   | None ->
-    let d = Pvir.Ckpt.prog_digest t.img.Image.prog in
+    let d = Pvir.Serial.digest t.img.Image.prog in
     t.pdigest <- Some d;
     d
 

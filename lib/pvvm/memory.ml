@@ -50,8 +50,10 @@ let size m = m.size
 (** Headroom left under the allocation cap (telemetry). *)
 let alloc_headroom m = m.alloc_limit - m.size
 
+(* [addr > size - len], not [addr + len > size]: the sum wraps for
+   addresses near [max_int] and would let the access through. *)
 let check m addr len =
-  if addr < m.null_guard || len < 0 || addr + len > m.size then
+  if addr < m.null_guard || len < 0 || addr > m.size - len then
     fault "access [%d, %d) outside memory of %d bytes" addr (addr + len) m.size
 
 (** [load m addr ty] reads a value of type [ty] at byte address [addr]. *)

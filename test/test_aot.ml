@@ -74,6 +74,42 @@ let test_table1_kernel (k : Kernels.t) () =
   let aot = run_kernel Pvvm.Interp.Aot k in
   check_run_equal k.Kernels.name th aot
 
+(* ---------------- fault classification ---------------- *)
+
+(* A load whose end address wraps past [max_int] must still fail the
+   bounds check: tree-walk, threaded and compiled code all report the
+   same classified memory fault (exit 7), never a host
+   [Invalid_argument] from the byte access. *)
+let test_wrapping_address_faults () =
+  let b =
+    Pvir.Builder.create ~name:"main" ~params:[] ~ret:(Some Pvir.Types.i32)
+  in
+  let a = Pvir.Builder.iconst b 0x3FFF_FFFF_FFFF_FFFC in
+  Pvir.Builder.ret b (Some (Pvir.Builder.load b Pvir.Types.i32 ~base:a ()));
+  let p = Pvir.Prog.create "wrap" in
+  Pvir.Prog.add_func p (Pvir.Builder.func b);
+  let fault engine =
+    let it = Pvvm.Interp.create ~engine (Pvvm.Image.load (Pvir.Prog.copy p)) in
+    (if engine = Pvvm.Interp.Aot then
+       match Pvaot.interp_status it with
+       | Ok _ -> ()
+       | Error r -> Alcotest.failf "wrapping load fell back: %s" r);
+    match Pvvm.Interp.run it "main" [] with
+    | _ -> Alcotest.fail "load from a wrapping address returned"
+    | exception e -> (
+      match Core.Splitc.classify e with
+      | Some err -> err
+      | None -> Alcotest.failf "unclassified: %s" (Printexc.to_string e))
+  in
+  let tw = fault Pvvm.Interp.Tree_walk in
+  Alcotest.(check int) "runtime trap exit code" 7 (Core.Splitc.exit_code tw);
+  List.iter
+    (fun (name, engine) ->
+      Alcotest.(check string) (name ^ ": same fault as tree-walk")
+        (Core.Splitc.error_message tw)
+        (Core.Splitc.error_message (fault engine)))
+    [ ("threaded", Pvvm.Interp.Threaded); ("aot", Pvvm.Interp.Aot) ]
+
 (* ---------------- pinned random-program corpus ---------------- *)
 
 let is_fuel_outcome = function
@@ -180,8 +216,8 @@ let test_sim_corpus_seed seed () =
    [Pp] never prints global annotations, so a digest of the
    pretty-printed program alone lets two programs differing only in
    [gannots] collide — and the second request would be served the first
-   one's artifact.  The key folds in [Prog.annotations_dump] to break
-   the tie. *)
+   one's artifact.  The key digests the distribution bytes
+   ([Serial.digest]), which carry every annotation. *)
 let test_annot_cache_key () =
   let k = List.hd Kernels.table1 in
   let mk () = Core.Splitc.frontend ~name:k.Kernels.name k.Kernels.source in
@@ -436,6 +472,11 @@ let () =
                 (Printf.sprintf "seed %d (all machines)" seed)
                 `Quick (test_sim_corpus_seed seed))
             [ 0; 5; 11; 17; 23 ] );
+      ( "faults",
+        [
+          Alcotest.test_case "wrapping address is a classified fault" `Quick
+            test_wrapping_address_faults;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "annotation-only change changes key" `Quick

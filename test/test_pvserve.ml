@@ -26,7 +26,9 @@ let artifact_exn (r : Pvserve.Service.reply) =
 
 (* Service-level twin of the AOT cache-key regression: a program
    re-annotated on a surface the pretty-printer does not render (global
-   annotations) must still get its own key. *)
+   annotations) must still get its own key.  Annotations live in the
+   distribution bytes, so the program component moves and the machine
+   component does not. *)
 let test_key_sees_annotations () =
   let k = kernel 0 in
   let mk () = Core.Splitc.frontend ~name:k.Pvkernels.Kernels.name k.Pvkernels.Kernels.source in
@@ -41,10 +43,15 @@ let test_key_sees_annotations () =
     (String.equal (key p1) (key p2));
   let k1 = Pvserve.Key.of_program ~machine p1
   and k2 = Pvserve.Key.of_program ~machine p2 in
-  Alcotest.(check string) "code digest unchanged" k1.Pvserve.Key.pvir
-    k2.Pvserve.Key.pvir;
   Alcotest.(check string) "machine digest unchanged" k1.Pvserve.Key.machine
-    k2.Pvserve.Key.machine
+    k2.Pvserve.Key.machine;
+  (* the service keys raw request bytes; a caller keying the decoded
+     program must land on the same entry *)
+  Alcotest.(check string) "of_program p = of_bytecode (encode p)" (key p2)
+    (Pvserve.Key.to_string
+       (Pvserve.Key.of_bytecode ~machine (Pvir.Serial.encode p2)));
+  Alcotest.(check string) "program component is Serial.digest"
+    (Pvir.Serial.digest p2) k2.Pvserve.Key.prog
 
 let test_key_sees_machine () =
   let k = kernel 0 in
@@ -150,17 +157,32 @@ let test_bounded_queue () =
   List.iter (fun r -> ignore (artifact_exn r)) replies
 
 (* Untrusted input: garbage bytecode answers with an error, not a crash,
-   and does not poison the cache or the in-flight table. *)
+   and does not poison the cache or the in-flight table.  The key is
+   taken before decoding, so the same garbage twice must reach the
+   decoder twice: nothing was cached for it. *)
 let test_garbage_bytecode () =
   let svc = Pvserve.Service.create ~workers:2 () in
-  let bad =
-    Pvserve.Service.await
-      (Pvserve.Service.submit svc
-         { Pvserve.Service.bytecode = "not bytecode"; Pvserve.Service.machine })
+  let submit_garbage () =
+    let bad =
+      Pvserve.Service.await
+        (Pvserve.Service.submit svc
+           {
+             Pvserve.Service.bytecode = "not bytecode";
+             Pvserve.Service.machine;
+           })
+    in
+    match bad.Pvserve.Service.outcome with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "garbage decoded to an artifact"
   in
-  (match bad.Pvserve.Service.outcome with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage decoded to an artifact");
+  submit_garbage ();
+  submit_garbage ();
+  Alcotest.(check (option int64)) "two error replies" (Some 2L)
+    (Pvtrace.Metrics.value (Pvserve.Service.metrics svc) "serve.errors");
+  Alcotest.(check int) "nothing cached" 0
+    (Pvserve.Service.cache_stats svc).Pvserve.Cache.s_entries;
+  Alcotest.(check int) "both reached the decoder" 2
+    (Pvserve.Service.compile_count svc);
   let good =
     Pvserve.Service.await
       (Pvserve.Service.submit svc
