@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe              # all experiments
      dune exec bench/main.exe -- table1    # one experiment
-     dune exec bench/main.exe -- bechamel  # wall-clock microbenchmarks
 
    Experiments (ids from DESIGN.md):
      E1 table1   - Table 1: split automatic vectorization
@@ -606,84 +605,6 @@ i64 app_main(i64 n) {
     "\nshape check: linking exposes the library to inlining (the call\n\
      overhead disappears) and tree shaking removes dead vendor code - the\n\
      deployment-side benefits the paper attributes to virtualization.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock microbenchmarks of the toolchain itself *)
-
-let bechamel () =
-  header
-    "wall-clock microbenchmarks (Bechamel): toolchain component costs\n\
-     (one Test.make per pipeline stage; monotonic-clock OLS estimates)";
-  let open Bechamel in
-  let k = Pvkernels.Kernels.saxpy_fp in
-  let src = k.Pvkernels.Kernels.source in
-  let p0 = Core.Splitc.frontend src in
-  let off = Core.Splitc.offline ~mode:Core.Splitc.Split p0 in
-  let bc = Core.Splitc.distribute off in
-  let tests =
-    [
-      Test.make ~name:"frontend (parse+check+lower)"
-        (Staged.stage (fun () -> ignore (Core.Splitc.frontend src)));
-      Test.make ~name:"offline pipeline (split mode)"
-        (Staged.stage (fun () ->
-             ignore (Core.Splitc.offline ~mode:Core.Splitc.Split p0)));
-      Test.make ~name:"bytecode decode+verify+load"
-        (Staged.stage (fun () -> ignore (Pvvm.Image.load (Pvir.Serial.decode bc))));
-      Test.make ~name:"JIT (x86ish, split hints)"
-        (Staged.stage (fun () ->
-             let img = Pvvm.Image.load (Pvir.Serial.decode bc) in
-             ignore
-               (Pvjit.Jit.compile_program ~machine:Pvmach.Machine.x86ish
-                  ~hints:Pvjit.Jit.Hints_annotation img)));
-      Test.make ~name:"JIT (sparcish, scalarizing)"
-        (Staged.stage (fun () ->
-             let img = Pvvm.Image.load (Pvir.Serial.decode bc) in
-             ignore
-               (Pvjit.Jit.compile_program ~machine:Pvmach.Machine.sparcish
-                  ~hints:Pvjit.Jit.Hints_annotation img)));
-      Test.make ~name:"simulated run (x86ish, n=1024)"
-        (Staged.stage
-           (let on =
-              Core.Splitc.online ~mode:Core.Splitc.Split
-                ~machine:Pvmach.Machine.x86ish bc
-            in
-            Pvkernels.Harness.fill_inputs on.Core.Splitc.img;
-            fun () ->
-              ignore
-                (Pvvm.Sim.run on.Core.Splitc.sim k.Pvkernels.Kernels.entry
-                   (Pvkernels.Harness.args k 1024))));
-      Test.make ~name:"interpreted run (n=1024)"
-        (Staged.stage
-           (let it = Core.Splitc.interpret bc in
-            Pvkernels.Harness.fill_inputs it.Pvvm.Interp.img;
-            fun () ->
-              ignore
-                (Pvvm.Interp.run it k.Pvkernels.Kernels.entry
-                   (Pvkernels.Harness.args k 1024))));
-    ]
-  in
-  let benchmark test =
-    let quota = Time.second 0.25 in
-    Benchmark.all
-      (Benchmark.cfg ~quota ~kde:None ())
-      Toolkit.Instance.[ monotonic_clock ]
-      test
-  in
-  let analyze raw =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun t ->
-      let results = analyze (benchmark t) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-36s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "%-36s (no estimate)\n" name)
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Execution engines: AOT-compiled native code vs pre-decoded
@@ -1484,9 +1405,7 @@ let () =
     parse [] (match Array.to_list Sys.argv with [] -> [] | _ :: rest -> rest)
   in
   (match args with
-  | [] ->
-    all_experiments ();
-    bechamel ()
+  | [] -> all_experiments ()
   | args ->
     List.iter
       (function
@@ -1498,7 +1417,6 @@ let () =
         | "ablation" -> ablation ()
         | "adaptive" -> adaptive ()
         | "lto" -> lto ()
-        | "bechamel" -> bechamel ()
         | "engines" -> engines ()
         | "annot-faults" -> annot_faults ()
         | "timeline" -> timeline ()
@@ -1509,7 +1427,7 @@ let () =
         | other ->
           Printf.eprintf
             "unknown experiment %s (try: table1 figure1 regalloc offload size \
-             ablation adaptive lto bechamel engines annot-faults timeline \
+             ablation adaptive lto engines annot-faults timeline \
              kpn profile serve)\n"
             other;
           exit 1)

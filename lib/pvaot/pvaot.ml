@@ -273,18 +273,12 @@ let prepare_interp (t : Pvvm.Interp.t) : outcome =
 let interp_runner (t : Pvvm.Interp.t) (fn : Pvir.Func.t)
     (args : Pvir.Value.t list) : Pvir.Value.t option =
   let fallback () = Pvvm.Interp.threaded_call t fn args in
-  (* An armed checkpoint needs safepoint polls and virtual-register
-     capture, which compiled code cannot provide mid-activation: the
-     whole activation runs threaded instead (accounting-identical by
-     construction), so the snapshot is bit-identical to every other
-     engine's. *)
-  if Pvvm.Interp.ckpt_armed t then fallback ()
-  else if t.Pvvm.Interp.profile <> None then fallback ()
-    (* the sampler needs block-entry polls and the shadow activation
-       stack, neither of which generated code maintains — same contract
-       as the checkpoint fallback above, and accounting-identical, so
-       the sampled stream matches the other engines bit for bit *)
-  else if t.Pvvm.Interp.sampler <> None then fallback ()
+  (* Observers (profile, sampler, armed checkpoint) need the block-entry
+     safepoint, the shadow activation stack and virtual-register
+     capture, none of which compiled code provides: the whole activation
+     runs threaded instead (accounting-identical by construction), so
+     visits, samples and snapshots match every other engine's. *)
+  if Pvvm.Interp.observed t then fallback ()
   else
     match Pvvm.Image.find_func t.Pvvm.Interp.img fn.Pvir.Func.name with
     | Some f when f == fn -> (
@@ -430,8 +424,8 @@ let install ?(ledger : Pvtrace.Ledger.t option) () =
     (origin one of "compiled", "disk-cache", "memo"), [Error reason]
     when calls would fall back to the threaded engine. *)
 let interp_status (t : Pvvm.Interp.t) : (string * string, string) result =
-  if t.Pvvm.Interp.profile <> None then Error "profiling enabled"
-  else if t.Pvvm.Interp.sampler <> None then Error "sampling enabled"
+  if Pvvm.Interp.observed t then
+    Error "observed run (profile, sampler or checkpoint)"
   else
     match prepare_interp t with
     | Ready p -> Ok (p.digest, p.origin)

@@ -654,6 +654,22 @@ let fill_node g (fn : Func.t) =
   let pool, mut, ones, gslots, aslots =
     build_pools g fn entry ~globals:[]
   in
+  (* Zero every frame slot before the body can load from it: all
+     firings of a network share one interpreter, so an unwritten slot
+     would read the stack bytes of whichever node fired before.  Fresh
+     registers only, no RNG draws, so the draws that follow are
+     unchanged. *)
+  List.iter
+    (fun al ->
+      let ty = Types.Scalar al.al_elem in
+      let zero = Func.fresh_reg fn ty in
+      let size = Types.scalar_size al.al_elem in
+      entry.Func.instrs <-
+        entry.Func.instrs
+        @ Instr.Const (zero, Value.int al.al_elem 0L)
+          :: List.init al.al_count (fun k ->
+                 Instr.Store (ty, zero, al.al_ptr, k * size)))
+    aslots;
   let c =
     { g; fn; pool; mut; ones; gslots; aslots; callees = []; calls_ok = false }
   in

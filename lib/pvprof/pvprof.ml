@@ -4,10 +4,10 @@
     at every block — fine for short runs, unaffordable for the week-long
     virtual workloads the paper's §2.2 "idle time between runs" loop is
     meant to observe.  This module is the sampling alternative: the VM
-    arms a period on its *virtual cycle clock* and polls it at block
-    entries — the same safepoints the checkpoint machinery uses (PR 7),
-    so sampling adds one integer compare per executed block and no new
-    hot-loop cost model.
+    arms a period on its *virtual cycle clock* and polls it at the
+    block-entry safepoint the checkpoint machinery uses, through the one
+    cycle deadline every observer shares, so sampling adds no per-block
+    cost beyond the compare every run already pays.
 
     Determinism is the whole design: a sample fires at the first block
     entry whose cycle count reaches the armed threshold, and the cycle

@@ -77,21 +77,21 @@ type t = {
           name and validated against the function's identity *)
   mutable ckpt_at : int64;
       (** checkpoint request: capture a snapshot at the first safepoint
-          (block boundary) once [stats.instrs >= ckpt_at].  [-1L] means
-          no request; the engines' fast paths stay exception-free and
+          (block entry) once [stats.instrs >= ckpt_at].  [-1L] means no
+          request; the engines' fast paths stay exception-free and
           catch-free while unarmed. *)
   mutable ckpt_snap : Pvir.Ckpt.t option;  (** last captured snapshot *)
   mutable pdigest : string option;
       (** memoized [Serial.digest] of the loaded program *)
   mutable sampler : Pvprof.t option;
-      (** sampling profiler: polled at block entries (the checkpoint
-          safepoints) against the cycle clock, so profiled and
-          unprofiled runs are bit-identical in results, output and
-          accounting *)
-  mutable sample_at : int64;
-      (** cached [Pvprof.next_at] of the sampler; [Int64.max_int] when
-          no sampler is armed, so the per-block poll is one compare
-          that never fires on the fast path *)
+      (** sampling profiler: polled at the block-entry safepoint against
+          the cycle clock, so profiled and unprofiled runs are
+          bit-identical in results, output and accounting *)
+  mutable next_event : int64;
+      (** cycle deadline of the next block-entry {!safepoint}, kept by
+          {!rearm}: [Int64.max_int] while nothing observes the run, so
+          the per-block poll is one compare that never fires on the
+          fast path *)
   mutable sstack : string list;
       (** shadow activation stack for the sampler (function names,
           innermost first); maintained only while a sampler is armed *)
@@ -99,6 +99,8 @@ type t = {
 
 let create ?(dispatch_cost = 8) ?profile ?sampler ?(fuel = 1_000_000_000L)
     ?(engine = Threaded) ?tr img =
+  (* the block-end charge is one instruction for [dispatch_cost] cycles *)
+  if dispatch_cost < 1 then invalid_arg "Interp.create: dispatch_cost < 1";
   {
     img;
     sp = Image.initial_sp img;
@@ -114,27 +116,12 @@ let create ?(dispatch_cost = 8) ?profile ?sampler ?(fuel = 1_000_000_000L)
     ckpt_snap = None;
     pdigest = None;
     sampler;
-    sample_at =
-      (match sampler with
-      | Some s -> Pvprof.next_at s
-      | None -> Int64.max_int);
+    next_event = Int64.max_int;
     sstack = [];
   }
 
-(** Arm a sampling profiler (or re-arm after {!create} without one). *)
-let set_sampler t s =
-  t.sampler <- Some s;
-  t.sample_at <- Pvprof.next_at s
-
-(* Record one sample at a block-entry safepoint.  [t.stats.cycles] must
-   be current (the threaded engine flushes its unboxed counters first). *)
-let take_sample t fname label =
-  match t.sampler with
-  | None -> ()
-  | Some s ->
-    Pvprof.sample s ~cycles:t.stats.cycles ~stack:t.sstack ~fn:fname
-      ~block:label;
-    t.sample_at <- Pvprof.next_at s
+(** Attach a sampling profiler (or replace the one given to {!create}). *)
+let set_sampler t s = t.sampler <- Some s
 
 let set_trace t tr = t.tr <- tr
 
@@ -147,10 +134,68 @@ let charge t n =
   if Int64.compare t.stats.instrs t.fuel > 0 then
     raise (Trap fuel_exhausted_msg)
 
-(* ---------------- checkpoint requests ---------------- *)
+(* ---------------- observers: the block-entry safepoint ---------------- *)
 
 let ckpt_armed t = Int64.compare t.ckpt_at 0L >= 0
-let ckpt_due t = ckpt_armed t && Int64.compare t.stats.instrs t.ckpt_at >= 0
+
+(** Does anything observe this run at block entries — an exhaustive
+    profile, a sampler or an armed checkpoint?  Compiled code has no
+    safepoint, so the AOT engine runs observed activations threaded. *)
+let observed t = t.profile <> None || t.sampler <> None || ckpt_armed t
+
+(** Recompute {!field-next_event} from the counters and the attached
+    observers: [0] under an exhaustive profile (every block entry),
+    otherwise the sampler's threshold or, when a checkpoint is armed, the
+    cycle count at which [ckpt_at] could at the earliest be reached.
+    Every counted instruction charges at least one cycle, so that
+    projection fires early (the safepoint then re-arms) but never late;
+    a request near [Int64.max_int] that wraps only fires earlier still. *)
+let rearm t =
+  t.next_event <-
+    (if t.profile <> None then 0L
+     else
+       let s =
+         match t.sampler with
+         | Some s -> Pvprof.next_at s
+         | None -> Int64.max_int
+       in
+       if not (ckpt_armed t) then s
+       else
+         Int64.min s
+           (Int64.add t.stats.cycles (Int64.sub t.ckpt_at t.stats.instrs)))
+
+(** The one slow path of both engines, run at a block entry whose cycle
+    count reached {!field-next_event} ([t.stats] current: the threaded
+    engine flushes first).  In order: the sample poll, the checkpoint
+    test, the profile visit and {!rearm}.  [true] means a checkpoint is
+    due and the caller captures here, before the block runs; the visit
+    is then left to the resumed run, so a captured block counts once. *)
+let safepoint t fname label : bool =
+  (match t.sampler with
+  | Some s when Int64.compare t.stats.cycles (Pvprof.next_at s) >= 0 ->
+    Pvprof.sample s ~cycles:t.stats.cycles ~stack:t.sstack ~fn:fname
+      ~block:label
+  | _ -> ());
+  let due = ckpt_armed t && Int64.compare t.stats.instrs t.ckpt_at >= 0 in
+  (match t.profile with
+  | Some p when not due -> Profile.block p fname label
+  | _ -> ());
+  rearm t;
+  due
+
+(** Call hook pair of both engines: count the call and keep the
+    sampler's shadow activation stack.  Exceptional unwinds skip
+    {!leave}; the public entry points restore the stack instead. *)
+let enter t name =
+  t.stats.calls <- t.stats.calls + 1;
+  if t.sampler <> None then t.sstack <- name :: t.sstack
+
+let leave t =
+  match t.sstack with
+  | _ :: tl when t.sampler <> None -> t.sstack <- tl
+  | _ -> ()
+
+(* ---------------- checkpoint requests ---------------- *)
 
 (** Request a checkpoint at the first safepoint reached once the
     instruction counter is at least [at].  Safepoints are block entries —
@@ -255,47 +300,32 @@ let rec list_drop n l =
 
 let rec tw_call t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
-  t.stats.calls <- t.stats.calls + 1;
-  Option.iter (fun p -> Profile.enter p fn.name) t.profile;
+  enter t fn.name;
   if List.length args <> List.length fn.params then
     raise (Trap (Printf.sprintf "arity mismatch calling %s" fn.name));
   let frame = { regs = Array.make fn.next_reg None; fn; fsp = t.sp } in
   List.iter2 (fun r v -> set_reg frame r v) fn.params args;
-  (* shadow stack for the sampler; exceptional unwinds are repaired at
-     the public entry points, so no per-call protect is needed *)
-  if t.sampler <> None then t.sstack <- fn.name :: t.sstack;
   let result = exec_block t frame (Pvir.Func.entry fn) in
   t.sp <- frame.fsp;
-  (match t.sstack with
-  | _ :: tl when t.sampler <> None -> t.sstack <- tl
-  | _ -> ());
+  leave t;
   result
 
 and exec_block t frame blk = exec_block_from t frame blk ~ip:0
 
 (** Execute [blk] from instruction index [ip] onward (ip > 0 only when
     resuming a snapshot mid-block), then its terminator.  The block entry
-    ([ip = 0]) is the safepoint: a due checkpoint request captures here,
-    before any of the block's instructions and before the block-end
+    ([ip = 0]) is the {!safepoint}: a due checkpoint request captures
+    here, before any of the block's instructions and before the block-end
     dispatch charge — the exact point where all engines' counters
     agree. *)
 and exec_block_from t frame (blk : Pvir.Func.block) ~ip : Pvir.Value.t option =
-  (* sample poll first, then checkpoint poll — both engines keep this
-     order, so a block entry that trips both stays deterministic *)
-  if ip = 0 && Int64.compare t.stats.cycles t.sample_at >= 0 then
-    take_sample t frame.fn.Pvir.Func.name blk.label;
-  if ckpt_armed t then begin
-    if ip = 0 && ckpt_due t then
-      raise (Ckpt_capture (ref [ tw_ckpt_frame frame blk.label 0 None ]));
-    exec_armed t frame blk.label ip (list_drop ip blk.instrs)
-  end
-  else
-    List.iter (exec_instr t frame)
-      (if ip = 0 then blk.instrs else list_drop ip blk.instrs);
+  if
+    ip = 0
+    && Int64.compare t.stats.cycles t.next_event >= 0
+    && safepoint t frame.fn.Pvir.Func.name blk.label
+  then raise (Ckpt_capture (ref [ tw_ckpt_frame frame blk.label 0 None ]));
+  exec_armed t frame blk.label ip (list_drop ip blk.instrs);
   charge t t.dispatch_cost;
-  Option.iter
-    (fun p -> Profile.block p frame.fn.name blk.label)
-    t.profile;
   match blk.term with
   | Pvir.Instr.Br l -> exec_block t frame (Pvir.Func.find_block frame.fn l)
   | Pvir.Instr.Cbr (c, l1, l2) ->
@@ -362,12 +392,12 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
   | Pvir.Instr.Reduce (op, d, a) ->
     set_reg frame d (Pvir.Eval.reduce op (v a))
 
-(* Armed instruction loop: identical semantics to the [List.iter] fast
-   path, but indexed, and appending this frame to a [Ckpt_capture]
-   unwinding out of a callee (only a [Call] can raise one — the nested
-   activation trips its own block-entry safepoint).  [ip - 1] then names
-   the pending call, which is what resume needs to re-inject its
-   result. *)
+(* The tree-walker's instruction loop: indexed, appending this frame to
+   a [Ckpt_capture] unwinding out of a callee (only a [Call] can raise
+   one — the nested activation trips its own block-entry safepoint).
+   [ip - 1] then names the pending call, which is what resume needs to
+   re-inject its result.  The reference engine is untimed, so it has no
+   separate catch-free loop for unarmed runs. *)
 and exec_armed t frame label i = function
   | [] -> ()
   | ins :: tl ->
@@ -388,13 +418,11 @@ type ectx = {
   mutable ecycles : int;
   mutable einstrs : int;
   efuel : int;
-  eckpt : int;
-      (** unboxed checkpoint threshold: [max_int] while unarmed, so the
-          per-block safepoint poll is a single int compare that never
-          fires on the fast path *)
-  mutable esample : int;
-      (** unboxed sampling threshold against [ecycles], same discipline
-          as [eckpt]; mutable because it re-arms after every sample *)
+  mutable enext : int;
+      (** unboxed {!field-next_event}: the per-block poll is a single int
+          compare against [ecycles] *)
+  earmed : bool;
+      (** a checkpoint is armed: run the catching instruction loop *)
 }
 
 let clamp_to_int v =
@@ -406,8 +434,8 @@ let ectx_of t =
     ecycles = Int64.to_int t.stats.cycles;
     einstrs = Int64.to_int t.stats.instrs;
     efuel = clamp_to_int t.fuel;
-    eckpt = (if ckpt_armed t then clamp_to_int t.ckpt_at else max_int);
-    esample = clamp_to_int t.sample_at;
+    enext = clamp_to_int t.next_event;
+    earmed = ckpt_armed t;
   }
 
 let flush_ectx t ec =
@@ -500,8 +528,7 @@ let decoded t (fn : Pvir.Func.t) : Decode.dfunc =
 
 let rec dcall t ec (df : Decode.dfunc) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
-  t.stats.calls <- t.stats.calls + 1;
-  Option.iter (fun p -> Profile.enter p df.Decode.dname) t.profile;
+  enter t df.Decode.dname;
   if List.length args <> df.Decode.dnparams then
     raise (Trap (Printf.sprintf "arity mismatch calling %s" df.Decode.dname));
   let frame =
@@ -514,13 +541,9 @@ let rec dcall t ec (df : Decode.dfunc) (args : Pvir.Value.t list) :
   List.iter2 (fun r v -> dset_checked frame r v) df.Decode.dparams args;
   if Array.length df.Decode.dblocks = 0 then
     invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" df.Decode.dname);
-  (* shadow stack for the sampler, mirroring [tw_call] *)
-  if t.sampler <> None then t.sstack <- df.Decode.dname :: t.sstack;
   let result = dexec_block t ec df frame 0 in
   t.sp <- frame.dsp;
-  (match t.sstack with
-  | _ :: tl when t.sampler <> None -> t.sstack <- tl
-  | _ -> ());
+  leave t;
   result
 
 and dexec_block t ec df frame idx = dexec_block_from t ec df frame idx ~ip:0
@@ -532,26 +555,20 @@ and dexec_block_from t ec (df : Decode.dfunc) frame idx ~ip :
     Pvir.Value.t option =
   let blk = df.Decode.dblocks.(idx) in
   let insts = blk.Decode.dinstrs in
-  (* sample poll first, then checkpoint poll — the tree-walker's order.
-     Sampling flushes the unboxed counters (so the sampler sees the
-     canonical Int64 cycle count) but never forces the armed
-     per-instruction loop: samples only fire at block entries. *)
-  if ip = 0 && ec.ecycles >= ec.esample then begin
+  (* the safepoint sees the canonical Int64 counters; only an armed
+     checkpoint forces the catching per-instruction loop *)
+  if ip = 0 && ec.ecycles >= ec.enext then begin
     flush_ectx t ec;
-    take_sample t df.Decode.dname blk.Decode.dlabel;
-    ec.esample <- clamp_to_int t.sample_at
+    if safepoint t df.Decode.dname blk.Decode.dlabel then
+      raise (Ckpt_capture (ref [ d_ckpt_frame frame blk.Decode.dlabel 0 None ]));
+    ec.enext <- clamp_to_int t.next_event
   end;
-  if ip = 0 && ec.einstrs >= ec.eckpt then
-    raise (Ckpt_capture (ref [ d_ckpt_frame frame blk.Decode.dlabel 0 None ]));
-  if ec.eckpt = max_int then
+  if ec.earmed then dexec_armed t ec frame blk.Decode.dlabel insts ip
+  else
     for i = ip to Array.length insts - 1 do
       dexec_instr t ec frame (Array.unsafe_get insts i)
-    done
-  else dexec_armed t ec frame blk.Decode.dlabel insts ip;
+    done;
   dcharge ec t.dispatch_cost;
-  (match t.profile with
-  | Some p -> Profile.block p df.Decode.dname blk.Decode.dlabel
-  | None -> ());
   match blk.Decode.dterm with
   | Decode.DBr j -> dexec_block t ec df frame j
   | Decode.DCbr (c, j1, j2) ->
@@ -743,12 +760,13 @@ and dexec_armed t ec frame label (insts : Decode.dinstr array) i =
 
 (* ---------------- public entry points ---------------- *)
 
+let with_ectx t f =
+  let ec = ectx_of t in
+  Fun.protect ~finally:(fun () -> flush_ectx t ec) (fun () -> f ec)
+
 let threaded_call t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
-  let ec = ectx_of t in
-  Fun.protect
-    ~finally:(fun () -> flush_ectx t ec)
-    (fun () -> dcall t ec (decoded t fn) args)
+  with_ectx t (fun ec -> dcall t ec (decoded t fn) args)
 
 (** Inversion point for the AOT backend (lib/pvaot): [Pvaot.install]
     replaces this hook with a runner that looks up (or builds) compiled
@@ -761,23 +779,23 @@ let aot_hook : (t -> Pvir.Func.t -> Pvir.Value.t list -> Pvir.Value.t option) re
     =
   ref (fun t fn args -> threaded_call t fn args)
 
+(* One public activation: re-arm the safepoint for the current counters,
+   turn a checkpoint unwind into the snapshot, and restore the sampler's
+   shadow stack, whose per-call pops an exceptional unwind skips. *)
+let activation t f =
+  let saved_stack = t.sstack in
+  rearm t;
+  Fun.protect
+    ~finally:(fun () -> t.sstack <- saved_stack)
+    (fun () -> try f () with Ckpt_capture frames -> finish_capture t !frames)
+
 let call_untraced t (fn : Pvir.Func.t) (args : Pvir.Value.t list) :
     Pvir.Value.t option =
-  (* an exceptional unwind (trap, checkpoint) skips the per-call shadow
-     stack pops; one restore here keeps the sampler's stack honest *)
-  let saved_stack = t.sstack in
-  try
-    match t.engine with
-    | Tree_walk -> tw_call t fn args
-    | Threaded -> threaded_call t fn args
-    | Aot -> !aot_hook t fn args
-  with
-  | Ckpt_capture frames ->
-    t.sstack <- saved_stack;
-    finish_capture t !frames
-  | e ->
-    t.sstack <- saved_stack;
-    raise e
+  activation t (fun () ->
+      match t.engine with
+      | Tree_walk -> tw_call t fn args
+      | Threaded -> threaded_call t fn args
+      | Aot -> !aot_hook t fn args)
 
 (** Call [fn] with [args] under the configured engine.  With a trace sink
     attached, the whole activation becomes a span on the VM track whose
@@ -850,9 +868,7 @@ let rec tw_resume t inject (frames : Pvir.Ckpt.frame list) :
         raise (Ckpt_capture captured)
     in
     t.sp <- frame.fsp;
-    (match t.sstack with
-    | _ :: tl when t.sampler <> None -> t.sstack <- tl
-    | _ -> ());
+    leave t;
     (match rest with
     | [] -> result
     | nf :: _ -> tw_resume t (inject_of nf f.Pvir.Ckpt.ck_fn result) rest)
@@ -888,9 +904,7 @@ let rec d_resume t ec inject (frames : Pvir.Ckpt.frame list) :
         raise (Ckpt_capture captured)
     in
     t.sp <- frame.dsp;
-    (match t.sstack with
-    | _ :: tl when t.sampler <> None -> t.sstack <- tl
-    | _ -> ());
+    leave t;
     (match rest with
     | [] -> result
     | nf :: _ -> d_resume t ec (inject_of nf f.Pvir.Ckpt.ck_fn result) rest)
@@ -902,30 +916,14 @@ let rec d_resume t ec inject (frames : Pvir.Ckpt.frame list) :
     holds regardless.  Raises {!Checkpointed} if a (re-)armed checkpoint
     trips during the resumed run. *)
 let resume_frames t (frames : Pvir.Ckpt.frame list) : Pvir.Value.t option =
-  (* seed the sampler's shadow stack with the restored call stack (the
-     snapshot frames are innermost first, exactly the stack shape) *)
-  if t.sampler <> None then
-    t.sstack <- List.map (fun f -> f.Pvir.Ckpt.ck_fn) frames;
-  let finish_stack () = if t.sampler <> None then t.sstack <- [] in
-  try
-    let r =
+  activation t (fun () ->
+      (* seed the sampler's shadow stack with the restored call stack (the
+         snapshot frames are innermost first, exactly the stack shape) *)
+      if t.sampler <> None then
+        t.sstack <- List.map (fun f -> f.Pvir.Ckpt.ck_fn) frames;
       match t.engine with
       | Tree_walk -> tw_resume t None frames
-      | Threaded | Aot ->
-        let ec = ectx_of t in
-        Fun.protect
-          ~finally:(fun () -> flush_ectx t ec)
-          (fun () -> d_resume t ec None frames)
-    in
-    finish_stack ();
-    r
-  with
-  | Ckpt_capture frames ->
-    finish_stack ();
-    finish_capture t !frames
-  | e ->
-    finish_stack ();
-    raise e
+      | Threaded | Aot -> with_ectx t (fun ec -> d_resume t ec None frames))
 
 (** Absorb this interpreter's counters into a metrics registry:
     cycles/instructions/calls plus fuel and allocation headroom.  Purely

@@ -3,25 +3,21 @@
     Implements the "idle time between different runs" step of the program
     lifetime (§2.2): profiles collected by the VM feed back into the
     offline compiler, which turns them into hotness annotations
-    ({!Pvir.Annot.key_hotness}) for the next deployment. *)
+    ({!Pvir.Annot.key_hotness}) for the next deployment.
 
-type t = {
-  fn_calls : (string, int ref) Hashtbl.t;
-  block_visits : (string * int, int ref) Hashtbl.t;
-}
+    The profile is one observer on the interpreter's block-entry
+    safepoint: a block counts as visited when it is entered, so a block
+    whose body traps still counts, and a block a checkpoint captures at
+    counts once, when the resumed run enters it. *)
 
-let create () = { fn_calls = Hashtbl.create 16; block_visits = Hashtbl.create 64 }
+type t = { block_visits : (string * int, int ref) Hashtbl.t }
 
-let bump tbl key =
-  match Hashtbl.find_opt tbl key with
+let create () = { block_visits = Hashtbl.create 64 }
+
+let block p fname label =
+  match Hashtbl.find_opt p.block_visits (fname, label) with
   | Some r -> incr r
-  | None -> Hashtbl.replace tbl key (ref 1)
-
-let enter p fname = bump p.fn_calls fname
-let block p fname label = bump p.block_visits (fname, label)
-
-let calls p fname =
-  match Hashtbl.find_opt p.fn_calls fname with Some r -> !r | None -> 0
+  | None -> Hashtbl.replace p.block_visits (fname, label) (ref 1)
 
 let block_count p fname label =
   match Hashtbl.find_opt p.block_visits (fname, label) with

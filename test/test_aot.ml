@@ -69,6 +69,17 @@ let test_compiles_kernels () =
   | Ok (_digest, _origin) -> ()
   | Error r -> Alcotest.failf "kernel %s fell back: %s" k.Kernels.name r
 
+(* An armed checkpoint sends the whole activation to the threaded
+   engine, and the status report must say so rather than [Ok]. *)
+let test_status_checkpoint_armed () =
+  let k = List.hd Kernels.table1 in
+  let p = Core.Splitc.frontend ~name:k.Kernels.name k.Kernels.source in
+  let it = Pvvm.Interp.create ~engine:Pvvm.Interp.Aot (Pvvm.Image.load p) in
+  Pvvm.Interp.arm_checkpoint it ~at:100L;
+  match Pvaot.interp_status it with
+  | Ok _ -> Alcotest.fail "status Ok with a checkpoint armed"
+  | Error _ -> ()
+
 let test_table1_kernel (k : Kernels.t) () =
   let th = run_kernel Pvvm.Interp.Threaded k in
   let aot = run_kernel Pvvm.Interp.Aot k in
@@ -440,6 +451,8 @@ let () =
           Alcotest.test_case "toolchain available" `Quick test_available;
           Alcotest.test_case "kernels compile (no fallback)" `Quick
             test_compiles_kernels;
+          Alcotest.test_case "checkpoint armed reports fallback" `Quick
+            test_status_checkpoint_armed;
         ] );
       ( "table1",
         List.map

@@ -317,6 +317,61 @@ let test_byte_flips () =
   if !survivors = 0 then Alcotest.fail "no byte flip survived decoding"
 
 (* checkpoint never fires when the threshold is past the end *)
+(* (2c) observers ride across a checkpoint: with a sampler and an
+   exhaustive profile attached, checkpoint and then resume on the same
+   interpreter.  Samples and block visits equal the uninterrupted
+   observed run's, and the snapshot is byte-identical on every engine. *)
+let observed ~engine prog =
+  let sampler = Pvprof.create ~period:64L () in
+  let profile = Pvvm.Profile.create () in
+  (Pvvm.Interp.create ~engine ~sampler ~profile (load prog), sampler, profile)
+
+let samples s = Pvir.Profdata.encode (Pvprof.to_data s)
+
+let visits p (prog : Pvir.Prog.t) =
+  List.concat_map
+    (fun (fn : Pvir.Func.t) ->
+      List.map
+        (fun (b : Pvir.Func.block) ->
+          Pvvm.Profile.block_count p fn.Pvir.Func.name b.Pvir.Func.label)
+        fn.Pvir.Func.blocks)
+    prog.Pvir.Prog.funcs
+
+let test_observers_across_checkpoint src () =
+  let prog = compile src in
+  let ref_it, ref_s, ref_p = observed ~engine:Pvvm.Interp.Tree_walk prog in
+  let reference = obs_of ref_it (Ok (Pvvm.Interp.run ref_it "main" [])) in
+  List.iter
+    (fun at ->
+      let snaps =
+        List.map
+          (fun engine ->
+            let what =
+              Printf.sprintf "at %d, %s" at (Pvvm.Interp.engine_name engine)
+            in
+            let it, s, p = observed ~engine prog in
+            let at64 = Int64.of_int at in
+            let snap, r =
+              match Pvvm.Snapshot.run_until it "main" [] ~at:at64 with
+              | Pvvm.Snapshot.Completed v -> (None, v)
+              | Pvvm.Snapshot.Checkpointed snap ->
+                (Some (Pvir.Ckpt.encode snap), Pvvm.Snapshot.resume it snap)
+            in
+            check_obs what reference (obs_of it (Ok r));
+            Alcotest.(check string) (what ^ ": samples") (samples ref_s)
+              (samples s);
+            Alcotest.(check (list int)) (what ^ ": visits") (visits ref_p prog)
+              (visits p prog);
+            snap)
+          engines
+      in
+      List.iter
+        (Alcotest.(check (option string))
+           (Printf.sprintf "snapshot bytes at %d" at)
+           (List.hd snaps))
+        (List.tl snaps))
+    (kill_points prog)
+
 let test_completion_wins () =
   let prog = compile prog_memory in
   let n = total_instrs prog in
@@ -348,6 +403,10 @@ let () =
             test_repeated_migration;
           Alcotest.test_case "completion beats the threshold" `Quick
             test_completion_wins;
+          Alcotest.test_case "observers across a checkpoint (calls)" `Quick
+            (test_observers_across_checkpoint prog_calls);
+          Alcotest.test_case "observers across a checkpoint (memory)" `Quick
+            (test_observers_across_checkpoint prog_memory);
         ] );
       ( "hardening",
         [

@@ -86,9 +86,8 @@ let test_kpn_gen_deterministic () =
 
 (* ---------------- clean campaign ---------------- *)
 
-let test_short_clean_campaign () =
-  announce_seed "clean campaign";
-  let findings, stats = K.campaign ~shrink:true ~seed:env_seed ~count:30 () in
+let clean_campaign seed =
+  let findings, stats = K.campaign ~shrink:true ~seed ~count:30 () in
   List.iter
     (fun f ->
       Printf.printf "FAIL %s: %s (%s)\nconfig: %s\n%s%!" f.K.kpath f.K.kwhat
@@ -100,6 +99,16 @@ let test_short_clean_campaign () =
   check int_t "all cases ran" 30 stats.K.cs_cases;
   check bool_t "features discovered" true (stats.K.cs_features > 0);
   check bool_t "corpus retained" true (stats.K.cs_corpus > 0)
+
+let test_short_clean_campaign () =
+  announce_seed "clean campaign";
+  clean_campaign env_seed
+
+(* a campaign seed that once reported a kpn-tw/priority determinism
+   finding: node bodies loaded frame slots before storing to them, so a
+   firing read the stack bytes its predecessor on the shared
+   interpreter left behind *)
+let test_uninitialized_slot_seed () = clean_campaign 607995490
 
 let test_campaign_pinned_seed_reproducible () =
   (* the whole campaign — programs, configs, corpus growth — is a pure
@@ -237,6 +246,8 @@ let () =
             test_short_clean_campaign;
           Alcotest.test_case "pinned seed reproducible" `Quick
             test_campaign_pinned_seed_reproducible;
+          Alcotest.test_case "uninitialized-slot seed clean" `Quick
+            test_uninitialized_slot_seed;
         ] );
       ( "planted-bug",
         [

@@ -120,6 +120,15 @@ let test_interp_fuel () =
   | exception Pvvm.Interp.Trap _ -> ()
   | _ -> Alcotest.fail "infinite loop terminated?!"
 
+(* a block-end dispatch charge of 0 cycles would let instructions retire
+   without advancing the cycle clock, so a checkpoint's cycle deadline
+   could pass its instruction threshold unseen *)
+let test_interp_dispatch_cost_floor () =
+  let img = Pvvm.Image.load (Core.Splitc.frontend "i64 main() { return 0; }") in
+  match Pvvm.Interp.create ~dispatch_cost:0 img with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "dispatch_cost 0 accepted"
+
 let test_interp_stack_discipline () =
   (* allocas are released on return: deep call chains must not leak *)
   let src =
@@ -164,7 +173,9 @@ i64 main() { return hot() + cold(); }
   let profile = Pvvm.Profile.create () in
   let it = Pvvm.Interp.create ~profile img in
   ignore (Pvvm.Interp.run it "main" []);
-  check int_t "hot called once" 1 (Pvvm.Profile.calls profile "hot");
+  let hot_entry = (Pvir.Func.entry (Pvir.Prog.find_func_exn p "hot")).label in
+  check int_t "hot entered once" 1
+    (Pvvm.Profile.block_count profile "hot" hot_entry);
   check bool_t "hot outweighs cold" true
     (Pvvm.Profile.weight profile "hot" > Pvvm.Profile.weight profile "cold");
   (* hotness annotations *)
@@ -214,6 +225,8 @@ let () =
           Alcotest.test_case "cycles grow" `Quick test_interp_cycles_grow;
           Alcotest.test_case "traps" `Quick test_interp_traps;
           Alcotest.test_case "fuel" `Quick test_interp_fuel;
+          Alcotest.test_case "dispatch cost floor" `Quick
+            test_interp_dispatch_cost_floor;
           Alcotest.test_case "stack discipline" `Quick test_interp_stack_discipline;
           Alcotest.test_case "stack overflow" `Quick test_interp_stack_overflow;
         ] );
