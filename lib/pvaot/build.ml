@@ -18,8 +18,9 @@
    source digest alongside the compiler version.  6: plugins register
    through [Aotabi.register_src], carrying the generated-body digest the
    loader verifies on every load (the cache staleness guard).  7: the
-   inline bounds check no longer wraps near [max_int]. *)
-let codegen_version = 7
+   inline bounds check no longer wraps near [max_int].  8: addresses are
+   exact 64-bit values, so bit 63 no longer aliases low memory. *)
+let codegen_version = 8
 
 type toolchain = {
   native : bool;  (** true: ocamlopt -shared -> .cmxs; false: ocamlc -> .cmo *)

@@ -553,17 +553,32 @@ let emit_call_result st (d : Instr.reg option) name call_expr =
 
 let scalar_size_of s = Types.scalar_size s
 
-(** Emit the inline bounds check + direct byte access prelude for a
-    memory operation at [a_] of [sz] bytes.  The slow path re-runs the
-    engine's own checker, which raises the exact [Memory.Fault]. *)
-let emit_bounds st sz =
-  line st "if a_ < ng_ || a_ > sz_ - %d then M.check mem_ a_ %d;" sz sz
-
-(** Emit [let a_ = <byte address> in] from the base register + offset. *)
-let emit_addr st base off =
+(* The base register as an [int64] expression: the guest address
+   operand, exact. *)
+let base64 st base =
   match reg_class st base with
-  | KNarrow _ -> line st "let a_ = %s + %d in" (rd st base) off
-  | KWide -> line st "let a_ = Int64.to_int %s + %d in" (rd st base) off
+  | KNarrow _ -> Printf.sprintf "(Int64.of_int %s)" (rd st base)
+  | KWide -> rd st base
+  | _ -> unsupported "memory base r%d is not an integer register" base
+
+(** Emit [let a_ = <byte address> in] for an [sz]-byte access at
+    [base + off], behind the inline bounds check.  A narrow base is an
+    exact small [int]; a wide one is checked as the unsigned 64-bit sum
+    (an address with bit 63 set is negative, below [ng64_]) before it
+    becomes an [int].  The slow path re-runs the engine's own checker,
+    which raises the exact [Memory.Fault]. *)
+let emit_access st base off sz =
+  let slow =
+    Printf.sprintf "ignore (M.check_at mem_ %s (%d) %d)" (base64 st base) off sz
+  in
+  match reg_class st base with
+  | KNarrow _ ->
+    line st "let a_ = %s + %d in" (rd st base) off;
+    line st "if a_ < ng_ || a_ > sz_ - %d then %s;" sz slow
+  | KWide ->
+    line st "let e_ = Int64.add %s (%dL) in" (rd st base) off;
+    line st "if e_ < ng64_ || e_ > Int64.sub sz64_ %dL then %s;" sz slow;
+    line st "let a_ = Int64.to_int e_ in"
   | _ -> unsupported "memory base r%d is not an integer register" base
 
 let emit_instr st (i : Instr.t) =
@@ -802,56 +817,56 @@ let emit_instr st (i : Instr.t) =
     add_charge st (d_cost + Types.lanes ty);
     flush st;
     emit_guard st base;
-    emit_addr st base off;
     (match (ty, reg_class st d) with
     | Types.Scalar Types.I8, KNarrow Types.I8 ->
-      emit_bounds st 1;
+      emit_access st base off 1;
       emit_set st d "(Bytes.get_int8 buf_ a_)"
     | Types.Scalar Types.I16, KNarrow Types.I16 ->
-      emit_bounds st 2;
+      emit_access st base off 2;
       emit_set st d "(Bytes.get_int16_le buf_ a_)"
     | Types.Scalar Types.I32, KNarrow Types.I32 ->
-      emit_bounds st 4;
+      emit_access st base off 4;
       emit_set st d "(Int32.to_int (Bytes.get_int32_le buf_ a_))"
     | (Types.Scalar Types.I64 | Types.Ptr _), KWide ->
-      emit_bounds st 8;
+      emit_access st base off 8;
       emit_set st d "(Bytes.get_int64_le buf_ a_)"
     | Types.Scalar Types.F32, KFloat Types.F32 ->
-      emit_bounds st 4;
+      emit_access st base off 4;
       emit_set st d "(Int32.float_of_bits (Bytes.get_int32_le buf_ a_))"
     | Types.Scalar Types.F64, KFloat Types.F64 ->
-      emit_bounds st 8;
+      emit_access st base off 8;
       emit_set st d "(Int64.float_of_bits (Bytes.get_int64_le buf_ a_))"
     | Types.Vector _, KBox ->
-      emit_set st d (Printf.sprintf "(M.load mem_ a_ %s)" (ty_lit ty))
+      emit_set st d
+        (Printf.sprintf "(M.load mem_ %s (%d) %s)" (base64 st base) off (ty_lit ty))
     | _ -> unsupported "load type/class mismatch at r%d" d);
     mark_def st d)
   | Instr.Store (ty, src, base, off) ->
     add_charge st (d_cost + Types.lanes ty);
     flush st;
     emit_guard st base;
-    emit_addr st base off;
     emit_guard st src;
     (match (ty, reg_class st src) with
     | Types.Scalar Types.I8, KNarrow Types.I8 ->
-      emit_bounds st 1;
+      emit_access st base off 1;
       line st "Bytes.set_uint8 buf_ a_ (%s land 0xFF);" (rd st src)
     | Types.Scalar Types.I16, KNarrow Types.I16 ->
-      emit_bounds st 2;
+      emit_access st base off 2;
       line st "Bytes.set_uint16_le buf_ a_ (%s land 0xFFFF);" (rd st src)
     | Types.Scalar Types.I32, KNarrow Types.I32 ->
-      emit_bounds st 4;
+      emit_access st base off 4;
       line st "Bytes.set_int32_le buf_ a_ (Int32.of_int %s);" (rd st src)
     | (Types.Scalar Types.I64 | Types.Ptr _), KWide ->
-      emit_bounds st 8;
+      emit_access st base off 8;
       line st "Bytes.set_int64_le buf_ a_ %s;" (rd st src)
     | Types.Scalar Types.F32, KFloat Types.F32 ->
-      emit_bounds st 4;
+      emit_access st base off 4;
       line st "Bytes.set_int32_le buf_ a_ (Int32.bits_of_float %s);" (rd st src)
     | Types.Scalar Types.F64, KFloat Types.F64 ->
-      emit_bounds st 8;
+      emit_access st base off 8;
       line st "Bytes.set_int64_le buf_ a_ (Int64.bits_of_float %s);" (rd st src)
-    | Types.Vector _, KBox -> line st "M.store mem_ a_ %s;" (rd st src)
+    | Types.Vector _, KBox ->
+      line st "M.store mem_ %s (%d) %s;" (base64 st base) off (rd st src)
     | _ -> unsupported "store type/class mismatch at r%d" src)
   | Instr.Alloca (d, bytes) ->
     add_charge st (d_cost + 1);
@@ -1146,8 +1161,9 @@ let emit_function buf img fnindex ~dispatch_cost ~first idx (fn : Func.t) =
     line st "let buf_ = mem_.M.bytes in";
     line st "let ng_ = mem_.M.null_guard in";
     line st "let sz_ = mem_.M.size in";
+    line st "let ng64_ = Int64.of_int ng_ and sz64_ = Int64.of_int sz_ in";
     line st "let saved_sp_ = ctx.A.sp in";
-    line st "ignore buf_; ignore ng_; ignore sz_;";
+    line st "ignore buf_; ignore ng_; ignore sz_; ignore ng64_; ignore sz64_;";
     if !nwide > 0 then begin
       (* the static type annotation is what lets the compiler specialize
          unsafe_get/unsafe_set to raw unboxed 64-bit access *)

@@ -177,9 +177,9 @@ let emit_inst st (i : Mir.inst) =
     set st d "Ev.select o0_ o1_ o2_"
   | Mir.Mload off ->
     let d = dst st i in
-    line st "let a_ = Int64.to_int (V.to_int64 %s) + %d in" (operand st i 0)
-      off;
-    set st d (Printf.sprintf "M.load mem_ a_ %s" (ty_lit i.Mir.ty))
+    set st d
+      (Printf.sprintf "M.load mem_ (V.to_int64 %s) (%d) %s" (operand st i 0) off
+         (ty_lit i.Mir.ty))
   | Mir.Mstore off ->
     (* (value, base) with the base read first, like both engines *)
     let value, base =
@@ -195,7 +195,7 @@ let emit_inst st (i : Mir.inst) =
     in
     line st "let b_ = %s in" (reg_read base);
     line st "let v_ = %s in" value;
-    line st "M.store mem_ (Int64.to_int (V.to_int64 b_) + %d) v_;" off
+    line st "M.store mem_ (V.to_int64 b_) (%d) v_;" off
   | Mir.Mframe_addr off ->
     set st (dst st i) (Printf.sprintf "V.i64 (Int64.of_int (fp_ + %d))" off)
   | Mir.Mframe_ld slot ->

@@ -76,13 +76,11 @@ let sp tr ~fn name f =
     forcing online recomputation) are charged to [account] and recorded in
     [ledger]; every pass runs under a [tr] span. *)
 let compile_func ?account ?tr ?ledger ~(machine : Machine.t)
-    ~(img : Pvvm.Image.t) ~(hints : hints) (fn : Pvir.Func.t) :
+    ~(resolve_global : string -> int) ~(hints : hints) (fn : Pvir.Func.t) :
     Mir.func * func_report =
   let mf =
     sp tr ~fn:fn.name "lower" (fun () ->
-        Lower.run ?account ~machine
-          ~resolve_global:(Pvvm.Image.global_address img)
-          fn)
+        Lower.run ?account ~machine ~resolve_global fn)
   in
   let exp = sp tr ~fn:fn.name "legalize" (fun () -> Legalize.run ?account mf) in
   sp tr ~fn:fn.name "immfold" (fun () -> ignore (Immfold.run ?account mf));
@@ -155,22 +153,30 @@ let compile_func ?account ?tr ?ledger ~(machine : Machine.t)
   sp tr ~fn:fn.name "peephole" (fun () -> ignore (Peephole.run ?account mf));
   (mf, { fname = fn.name; ra; mir_size = Mir.size mf; annot_status })
 
+(** Compile every function of [prog].  Code needs only the global
+    addresses ([resolve_global]), not the memory that holds them. *)
+let compile_funcs ?account ?tr ?ledger ~(machine : Machine.t)
+    ~(hints : hints) ~resolve_global (prog : Pvir.Prog.t) :
+    (Mir.func * func_report) list =
+  List.map
+    (compile_func ?account ?tr ?ledger ~machine ~resolve_global ~hints)
+    prog.Pvir.Prog.funcs
+
+let report_of ?account compiled =
+  let work =
+    match account with Some a -> a | None -> Pvir.Account.create ()
+  in
+  { funcs = List.map snd compiled; work }
+
 (** Compile all functions of the image's program and return a simulator
     loaded with the generated code. *)
 let compile_program ?account ?tr ?ledger ~(machine : Machine.t)
     ~(hints : hints) (img : Pvvm.Image.t) : Pvvm.Sim.t * report =
   let sim = Pvvm.Sim.create img machine in
-  let reports =
-    List.map
-      (fun fn ->
-        let mf, report =
-          compile_func ?account ?tr ?ledger ~machine ~img ~hints fn
-        in
-        Pvvm.Sim.add_func sim mf;
-        report)
-      img.Pvvm.Image.prog.Pvir.Prog.funcs
+  let compiled =
+    compile_funcs ?account ?tr ?ledger ~machine ~hints
+      ~resolve_global:(Pvvm.Image.global_address img)
+      img.Pvvm.Image.prog
   in
-  let work =
-    match account with Some a -> a | None -> Pvir.Account.create ()
-  in
-  (sim, { funcs = reports; work })
+  List.iter (fun (mf, _) -> Pvvm.Sim.add_func sim mf) compiled;
+  (sim, report_of ?account compiled)

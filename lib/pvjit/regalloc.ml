@@ -15,6 +15,12 @@
       definition, a reload before every use; the allocator then reruns
       with the tiny intervals (never re-spilled).
 
+    Every per-round structure is a dense array indexed by virtual register
+    number: liveness is a bitset per block, intervals are two position
+    arrays, and the scan keeps its active set and free registers in small
+    arrays, so a round costs time linear in the code plus one sort of the
+    intervals.
+
     Dynamic spill traffic is what the paper's 40 % claim is about; the
     simulator counts executed [Mframe_ld]/[Mframe_st] operations so E3 can
     report it. *)
@@ -33,248 +39,259 @@ type stats = {
   mutable rounds : int;
 }
 
-(* ---------------- liveness over MIR virtual registers ---------------- *)
+(* ---------------- liveness: one bitset per block ---------------- *)
 
-let vregs_of_reg = function Mir.V v -> Some v | Mir.P _ -> None
+(* Block [b]'s set over [n] vregs is the [nw] words at [b * nw] of a flat
+   array. *)
+let bits = Sys.int_size
+let words n = (n + bits - 1) / bits
+let set s base v = s.(base + (v / bits)) <- s.(base + (v / bits)) lor (1 lsl (v mod bits))
+let mem s base v = s.(base + (v / bits)) land (1 lsl (v mod bits)) <> 0
 
-let block_use_def (b : Mir.block) =
-  let use = Hashtbl.create 8 and def = Hashtbl.create 8 in
-  List.iter
-    (fun i ->
+let iter_set f s base nw =
+  for k = 0 to nw - 1 do
+    let w = ref s.(base + k) and v = ref (k * bits) in
+    while !w <> 0 do
+      if !w land 1 <> 0 then f !v;
+      w := !w lsr 1;
+      incr v
+    done
+  done
+
+(* The virtual register named by [r], or -1 for a physical one. *)
+let vreg ~n = function
+  | Mir.V v when v >= 0 && v < n -> v
+  | Mir.V v -> fail "virtual register v%d out of range" v
+  | Mir.P _ -> -1
+
+(* Live-in and live-out sets of every block: the least fixpoint, iterated
+   in reverse block order. *)
+let liveness ~n ~nw (blocks : Mir.block array) (succs : int array array) =
+  let nb = Array.length blocks in
+  let use = Array.make (nb * nw) 0 and def = Array.make (nb * nw) 0 in
+  Array.iteri
+    (fun b (blk : Mir.block) ->
+      let base = b * nw in
+      let read r =
+        let v = vreg ~n r in
+        if v >= 0 && not (mem def base v) then set use base v
+      in
       List.iter
-        (fun r ->
-          match vregs_of_reg r with
-          | Some v when not (Hashtbl.mem def v) -> Hashtbl.replace use v ()
-          | _ -> ())
-        (Mir.inst_uses i);
-      match Option.bind (Mir.inst_def i) vregs_of_reg with
-      | Some v -> Hashtbl.replace def v ()
-      | None -> ())
-    b.Mir.insts;
-  List.iter
-    (fun r ->
-      match vregs_of_reg r with
-      | Some v when not (Hashtbl.mem def v) -> Hashtbl.replace use v ()
-      | _ -> ())
-    (Mir.term_uses b.Mir.mterm);
-  (use, def)
-
-let liveness (mf : Mir.func) =
-  let preds = Hashtbl.create 16 in
-  List.iter (fun (b : Mir.block) -> Hashtbl.replace preds b.Mir.mlabel []) mf.Mir.mblocks;
-  List.iter
-    (fun (b : Mir.block) ->
-      List.iter
-        (fun s ->
-          Hashtbl.replace preds s
-            (b.Mir.mlabel :: (try Hashtbl.find preds s with Not_found -> [])))
-        (Mir.term_successors b.Mir.mterm))
-    mf.Mir.mblocks;
-  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
-  let use_def = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Mir.block) ->
-      Hashtbl.replace use_def b.Mir.mlabel (block_use_def b);
-      Hashtbl.replace live_in b.Mir.mlabel (Hashtbl.create 8);
-      Hashtbl.replace live_out b.Mir.mlabel (Hashtbl.create 8))
-    mf.Mir.mblocks;
+        (fun (i : Mir.inst) ->
+          List.iter read i.Mir.srcs;
+          match i.Mir.dst with
+          | Some d ->
+            let v = vreg ~n d in
+            if v >= 0 then set def base v
+          | None -> ())
+        blk.Mir.insts;
+      List.iter read (Mir.term_uses blk.Mir.mterm))
+    blocks;
+  let live_in = Array.make (nb * nw) 0 and live_out = Array.make (nb * nw) 0 in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (b : Mir.block) ->
-        let l = b.Mir.mlabel in
-        let out = Hashtbl.find live_out l in
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt live_in s with
-            | Some sin ->
-              Hashtbl.iter
-                (fun v () ->
-                  if not (Hashtbl.mem out v) then (
-                    Hashtbl.replace out v ();
-                    changed := true))
-                sin
-            | None -> ())
-          (Mir.term_successors b.Mir.mterm);
-        let use, def = Hashtbl.find use_def l in
-        let inn = Hashtbl.find live_in l in
-        let add v =
-          if not (Hashtbl.mem inn v) then (
-            Hashtbl.replace inn v ();
-            changed := true)
-        in
-        Hashtbl.iter (fun v () -> add v) use;
-        Hashtbl.iter
-          (fun v () -> if not (Hashtbl.mem def v) then add v)
-          out)
-      (List.rev mf.Mir.mblocks)
+    for b = nb - 1 downto 0 do
+      let base = b * nw in
+      Array.iter
+        (fun s ->
+          for k = 0 to nw - 1 do
+            live_out.(base + k) <- live_out.(base + k) lor live_in.((s * nw) + k)
+          done)
+        succs.(b);
+      for k = base to base + nw - 1 do
+        let x = use.(k) lor (live_out.(k) land lnot def.(k)) in
+        if x <> live_in.(k) then begin
+          live_in.(k) <- x;
+          changed := true
+        end
+      done
+    done
   done;
   (live_in, live_out)
 
 (* ---------------- intervals ---------------- *)
 
-type interval = {
-  vreg : int;
-  cls : Mir.reg_class;
-  mutable istart : int;
-  mutable iend : int;
-}
-
-let build_intervals (mf : Mir.func) =
-  let live_in, live_out = liveness mf in
-  let tbl : (int, interval) Hashtbl.t = Hashtbl.create 32 in
-  let touch v pos =
-    match Hashtbl.find_opt tbl v with
-    | Some iv ->
-      iv.istart <- min iv.istart pos;
-      iv.iend <- max iv.iend pos
-    | None ->
-      let ty =
-        match Hashtbl.find_opt mf.Mir.vreg_ty v with
-        | Some ty -> ty
-        | None -> fail "no type for virtual register v%d" v
-      in
-      Hashtbl.replace tbl v
-        { vreg = v; cls = Mir.class_of_type ty; istart = pos; iend = pos }
+(* [istart.(v)], [iend.(v)]: first and last position at which [v] is live
+   or mentioned; -1 for a register that appears nowhere.  Positions only
+   grow along the walk (parameters sit at 0, a block's live-in at its
+   first position), so the first touch is the start and the last the
+   end. *)
+let intervals ~n ~nw (mf : Mir.func) (blocks : Mir.block array) live_in
+    live_out =
+  let istart = Array.make n (-1) and iend = Array.make n (-1) in
+  let touch_v p v =
+    if istart.(v) < 0 then istart.(v) <- p;
+    iend.(v) <- p
   in
-  (* parameters are live from position 0 *)
-  List.iter
-    (fun r -> match vregs_of_reg r with Some v -> touch v 0 | None -> ())
-    mf.Mir.mparams;
+  let touch p r =
+    let v = vreg ~n r in
+    if v >= 0 then touch_v p v
+  in
+  List.iter (touch 0) mf.Mir.mparams;
   let pos = ref 0 in
-  List.iter
-    (fun (b : Mir.block) ->
-      let bstart = !pos in
-      let touch_reg r p =
-        match vregs_of_reg r with Some v -> touch v p | None -> ()
-      in
-      (match Hashtbl.find_opt live_in b.Mir.mlabel with
-      | Some inn -> Hashtbl.iter (fun v () -> touch v bstart) inn
-      | None -> ());
+  Array.iteri
+    (fun b (blk : Mir.block) ->
+      iter_set (touch_v !pos) live_in (b * nw) nw;
       List.iter
-        (fun i ->
+        (fun (i : Mir.inst) ->
           incr pos;
-          List.iter (fun r -> touch_reg r !pos) (Mir.inst_uses i);
-          Option.iter (fun r -> touch_reg r !pos) (Mir.inst_def i))
-        b.Mir.insts;
+          List.iter (touch !pos) i.Mir.srcs;
+          Option.iter (touch !pos) i.Mir.dst)
+        blk.Mir.insts;
       incr pos;
-      List.iter (fun r -> touch_reg r !pos) (Mir.term_uses b.Mir.mterm);
-      let bend = !pos in
-      (match Hashtbl.find_opt live_out b.Mir.mlabel with
-      | Some out -> Hashtbl.iter (fun v () -> touch v bend) out
-      | None -> ());
+      List.iter (touch !pos) (Mir.term_uses blk.Mir.mterm);
+      iter_set (touch_v !pos) live_out (b * nw) nw;
       incr pos)
-    mf.Mir.mblocks;
-  Hashtbl.fold (fun _ iv acc -> iv :: acc) tbl []
+    blocks;
+  (istart, iend)
 
 (* ---------------- the scan ---------------- *)
 
-(* result of one scan round: either a complete assignment or a set of
-   vregs to spill *)
-type round_result =
-  | Assigned of (int, Mir.reg_class * int) Hashtbl.t
-  | Spill of int list
+(* Every interval in scan order: the total order (start, end, vreg) —
+   emitted in vreg order, then stably sorted on (start, end). *)
+let scan_order ~istart ~iend =
+  let vs = ref [] in
+  for v = Array.length istart - 1 downto 0 do
+    if istart.(v) >= 0 then vs := v :: !vs
+  done;
+  List.stable_sort
+    (fun a b ->
+      let c = Int.compare istart.(a) istart.(b) in
+      if c <> 0 then c else Int.compare iend.(a) iend.(b))
+    !vs
 
-let scan_class (machine : Machine.t) ~quality ~unspillable intervals cls
-    (assignment : (int, Mir.reg_class * int) Hashtbl.t) : int list =
+(* Scan one class, writing physical indices into [assigned].  Returns the
+   vregs to spill, most recent first.  Free registers are handed out
+   first-in first-out; [active] holds the live intervals oldest first.
+   Under pressure the victim is the first best of [cur] followed by the
+   active intervals newest first, among those not created by spilling
+   (vreg [>= fresh]). *)
+let scan_class (machine : Machine.t) ~better ~fresh ~istart ~iend ~assigned
+    cls order : int list =
   let nregs =
     match cls with
     | Mir.Gpr -> machine.Machine.int_regs
     | Mir.Fpr -> machine.Machine.fp_regs
     | Mir.Vec -> machine.Machine.vec_regs
   in
-  let of_cls =
-    List.filter (fun iv -> iv.cls = cls) intervals
-    |> List.sort (fun a b -> compare (a.istart, a.iend) (b.istart, b.iend))
-  in
-  if of_cls = [] then []
+  if order = [] then []
   else if nregs = 0 then
     fail "register class exhausted: machine %s has no registers for it"
       machine.Machine.name
   else begin
-    let free = Queue.create () in
-    for i = 0 to nregs - 1 do
-      Queue.add i free
-    done;
-    let active : (interval * int) list ref = ref [] in
+    let free = Array.init nregs Fun.id and fhead = ref 0 and nfree = ref nregs in
+    let active = Array.make nregs 0 and nact = ref 0 in
+    (* the earliest end among [active]: nothing expires before it *)
+    let min_end = ref max_int in
+    (* drop the active intervals satisfying [drop], keeping the others in
+       order *)
+    let retain drop =
+      let k = ref 0 in
+      min_end := max_int;
+      for i = 0 to !nact - 1 do
+        let v = active.(i) in
+        if not (drop v) then begin
+          active.(!k) <- v;
+          incr k;
+          if iend.(v) < !min_end then min_end := iend.(v)
+        end
+      done;
+      nact := !k
+    in
+    let push v =
+      active.(!nact) <- v;
+      incr nact;
+      if iend.(v) < !min_end then min_end := iend.(v)
+    in
     let spills = ref [] in
-    let weight iv =
-      if Hashtbl.mem unspillable iv.vreg then infinity
-      else
-        match quality with
-        | Heuristic -> float_of_int iv.iend  (* furthest end = cheapest *)
-        | Weights w -> w iv.vreg
-    in
-    let expire pos =
-      let expired, still =
-        List.partition (fun (iv, _) -> iv.iend < pos) !active
-      in
-      List.iter (fun (_, r) -> Queue.add r free) expired;
-      active := still
-    in
     List.iter
       (fun cur ->
-        expire cur.istart;
-        if not (Queue.is_empty free) then begin
-          let r = Queue.take free in
-          Hashtbl.replace assignment cur.vreg (cls, r);
-          active := (cur, r) :: !active
+        let pos = istart.(cur) in
+        if !min_end < pos then begin
+          for i = !nact - 1 downto 0 do
+            let v = active.(i) in
+            if iend.(v) < pos then begin
+              free.((!fhead + !nfree) mod nregs) <- assigned.(v);
+              incr nfree
+            end
+          done;
+          retain (fun v -> iend.(v) < pos)
+        end;
+        if !nfree > 0 then begin
+          assigned.(cur) <- free.(!fhead);
+          fhead := (!fhead + 1) mod nregs;
+          decr nfree;
+          push cur
         end
         else begin
-          (* choose a victim among active + cur: cheapest to spill;
-             Heuristic mode prefers the interval ending furthest *)
-          let candidates =
-            List.filter
-              (fun (iv, _) -> not (Hashtbl.mem unspillable iv.vreg))
-              ((cur, -1) :: !active)
+          let victim = ref (-1) in
+          let consider v =
+            if v < fresh && (!victim < 0 || better v !victim) then victim := v
           in
-          let victim, vreg_assigned =
-            match candidates with
-            | [] ->
-              fail "irreducible register pressure on %s" machine.Machine.name
-            | first :: rest ->
-              List.fold_left
-                (fun ((best, _) as acc) ((iv, _) as item) ->
-                  let better =
-                    match quality with
-                    | Heuristic -> iv.iend > best.iend
-                    | Weights _ ->
-                      let wb = weight best and wi = weight iv in
-                      wi < wb || (wi = wb && iv.iend > best.iend)
-                  in
-                  if better then item else acc)
-                first rest
-          in
-          spills := victim.vreg :: !spills;
-          if victim.vreg = cur.vreg then ()
-          else begin
+          consider cur;
+          for i = !nact - 1 downto 0 do
+            consider active.(i)
+          done;
+          let victim = !victim in
+          if victim < 0 then
+            fail "irreducible register pressure on %s" machine.Machine.name;
+          spills := victim :: !spills;
+          if victim <> cur then begin
             (* steal the victim's register for cur *)
-            Hashtbl.remove assignment victim.vreg;
-            Hashtbl.replace assignment cur.vreg (cls, vreg_assigned);
-            active :=
-              (cur, vreg_assigned)
-              :: List.filter (fun (iv, _) -> iv.vreg <> victim.vreg) !active
+            assigned.(cur) <- assigned.(victim);
+            retain (fun v -> v = victim);
+            push cur
           end
         end)
-      of_cls;
+      order;
     !spills
   end
 
-let run_round machine ~quality ~unspillable (mf : Mir.func) : round_result =
-  let intervals = build_intervals mf in
-  let assignment = Hashtbl.create 64 in
+(* One round: liveness, intervals and a scan of every class.  [Ok
+   (cls_of, assigned)] is a complete assignment; [Error spills] lists the
+   vregs to spill, class by class. *)
+let run_round machine ~quality ~fresh (mf : Mir.func) blocks succs =
+  let n = mf.Mir.next_vreg in
+  let nw = words n in
+  let live_in, live_out = liveness ~n ~nw blocks succs in
+  let istart, iend = intervals ~n ~nw mf blocks live_in live_out in
+  let cls_of = Array.make n Mir.Gpr in
+  for v = 0 to n - 1 do
+    if istart.(v) >= 0 then
+      match Hashtbl.find_opt mf.Mir.vreg_ty v with
+      | Some ty -> cls_of.(v) <- Mir.class_of_type ty
+      | None -> fail "no type for virtual register v%d" v
+  done;
+  let better =
+    match quality with
+    | Heuristic -> fun v best -> iend.(v) > iend.(best)
+    | Weights w ->
+      (* each weight is asked of [w] at most once per round *)
+      let weight = Array.make n nan in
+      let weight v =
+        if Float.is_nan weight.(v) then weight.(v) <- w v;
+        weight.(v)
+      in
+      fun v best ->
+        let wb = weight best and wi = weight v in
+        wi < wb || (wi = wb && iend.(v) > iend.(best))
+  in
+  let assigned = Array.make n (-1) in
+  let order = scan_order ~istart ~iend in
   let spills =
     List.concat_map
-      (fun cls -> scan_class machine ~quality ~unspillable intervals cls assignment)
+      (fun cls ->
+        scan_class machine ~better ~fresh ~istart ~iend ~assigned cls
+          (List.filter (fun v -> cls_of.(v) = cls) order))
       [ Mir.Gpr; Mir.Fpr; Mir.Vec ]
   in
-  if spills = [] then Assigned assignment else Spill spills
+  if spills = [] then Ok (cls_of, assigned) else Error spills
 
 (* ---------------- spill rewriting ---------------- *)
 
-let rewrite_spills (mf : Mir.func) ~unspillable ~(stats : stats) spills =
-  let slot_of = Hashtbl.create 8 in
+let rewrite_spills (mf : Mir.func) ~(stats : stats) spills =
+  let slot_of = Array.make mf.Mir.next_vreg None in
   List.iter
     (fun v ->
       let ty =
@@ -283,36 +300,34 @@ let rewrite_spills (mf : Mir.func) ~unspillable ~(stats : stats) spills =
         | None -> fail "spilling untyped v%d" v
       in
       let size = (Pvir.Types.size ty + 7) land lnot 7 in
-      Hashtbl.replace slot_of v (mf.Mir.frame_size, ty);
+      slot_of.(v) <- Some (mf.Mir.frame_size, ty);
       mf.Mir.frame_size <- mf.Mir.frame_size + size;
       stats.spilled_regs <- stats.spilled_regs + 1)
     spills;
-  let is_spilled r =
-    match r with
-    | Mir.V v -> Hashtbl.find_opt slot_of v
-    | Mir.P _ -> None
+  (* the temporaries made here are the fresh vregs, beyond [slot_of] *)
+  let is_spilled = function
+    | Mir.V v when v < Array.length slot_of -> slot_of.(v)
+    | _ -> None
+  in
+  let temp ty =
+    stats.spill_instrs <- stats.spill_instrs + 1;
+    Mir.fresh_vreg mf ty
   in
   let rewrite_inst (i : Mir.inst) : Mir.inst list =
-    (* reload spilled sources *)
-    let reloads = ref [] in
-    let seen = Hashtbl.create 4 in
+    (* reload spilled sources, once per register per instruction *)
+    let reloaded = ref [] and reloads = ref [] in
     let srcs =
       List.map
         (fun r ->
           match is_spilled r with
           | None -> r
           | Some (slot, ty) -> (
-            match Hashtbl.find_opt seen r with
+            match List.assoc_opt r !reloaded with
             | Some t -> t
             | None ->
-              let t = Mir.fresh_vreg mf ty in
-              (* invariant: [Mir.fresh_vreg] always returns a [V] *)
-              Hashtbl.replace unspillable
-                (match t with Mir.V v -> v | _ -> assert false)
-                ();
+              let t = temp ty in
               reloads := Mir.inst ~dst:t (Mir.Mframe_ld slot) ty :: !reloads;
-              stats.spill_instrs <- stats.spill_instrs + 1;
-              Hashtbl.replace seen r t;
+              reloaded := (r, t) :: !reloaded;
               t))
         i.Mir.srcs
     in
@@ -323,36 +338,35 @@ let rewrite_spills (mf : Mir.func) ~unspillable ~(stats : stats) spills =
         match is_spilled d with
         | None -> Some d
         | Some (slot, ty) ->
-          let t = Mir.fresh_vreg mf ty in
-          Hashtbl.replace unspillable
-            (match t with Mir.V v -> v | _ -> assert false)
-            ();
+          let t = temp ty in
           stores := [ Mir.inst ~srcs:[ t ] (Mir.Mframe_st slot) ty ];
-          stats.spill_instrs <- stats.spill_instrs + 1;
           Some t)
       | None -> None
     in
     List.rev !reloads @ [ { i with Mir.srcs; dst } ] @ !stores
   in
+  let mentions_spilled (i : Mir.inst) =
+    List.exists (fun r -> is_spilled r <> None) i.Mir.srcs
+    || match i.Mir.dst with Some d -> is_spilled d <> None | None -> false
+  in
   List.iter
     (fun (b : Mir.block) ->
-      b.Mir.insts <- List.concat_map rewrite_inst b.Mir.insts;
+      if List.exists mentions_spilled b.Mir.insts then
+        b.Mir.insts <-
+          List.concat_map
+            (fun i -> if mentions_spilled i then rewrite_inst i else [ i ])
+            b.Mir.insts;
       (* spilled register used by the terminator: reload it just before *)
-      let term_srcs = Mir.term_uses b.Mir.mterm in
       let extra = ref [] in
       let map_term r =
         match is_spilled r with
         | None -> r
         | Some (slot, ty) ->
-          let t = Mir.fresh_vreg mf ty in
-          Hashtbl.replace unspillable
-            (match t with Mir.V v -> v | _ -> assert false)
-            ();
+          let t = temp ty in
           extra := Mir.inst ~dst:t (Mir.Mframe_ld slot) ty :: !extra;
-          stats.spill_instrs <- stats.spill_instrs + 1;
           t
       in
-      if term_srcs <> [] then begin
+      if Mir.term_uses b.Mir.mterm <> [] then begin
         b.Mir.mterm <- Mir.map_term_regs map_term b.Mir.mterm;
         b.Mir.insts <- b.Mir.insts @ List.rev !extra
       end)
@@ -373,33 +387,42 @@ let rewrite_spills (mf : Mir.func) ~unspillable ~(stats : stats) spills =
 
 (* ---------------- driver ---------------- *)
 
+(* Successors of every block as indices into [blocks]; spill rewriting
+   never changes them. *)
+let successors (blocks : Mir.block array) =
+  let index = Hashtbl.create (Array.length blocks) in
+  Array.iteri
+    (fun i (b : Mir.block) ->
+      if not (Hashtbl.mem index b.Mir.mlabel) then Hashtbl.add index b.Mir.mlabel i)
+    blocks;
+  Array.map
+    (fun (b : Mir.block) ->
+      Array.of_list
+        (List.filter_map (Hashtbl.find_opt index)
+           (Mir.term_successors b.Mir.mterm)))
+    blocks
+
 (** Allocate registers for [mf] in place: after this call every register
     is physical ([P]) and spill code is explicit. *)
 let run ?account ~(quality : quality) (mf : Mir.func) : stats =
   let machine = mf.Mir.target in
   let stats = { spilled_regs = 0; spill_instrs = 0; rounds = 0 } in
-  let unspillable = Hashtbl.create 16 in
+  (* spill temporaries are never spilled again: they are exactly the
+     vregs created from here on *)
+  let fresh = mf.Mir.next_vreg in
+  let blocks = Array.of_list mf.Mir.mblocks in
+  let succs = successors blocks in
   let rec go budget =
     if budget = 0 then fail "register allocation did not converge";
     stats.rounds <- stats.rounds + 1;
     (* linear scan is linear in code size + n log n on intervals *)
     Pvir.Account.charge_opt account ~pass:"jit.regalloc" (2 * Mir.size mf);
-    match run_round machine ~quality ~unspillable mf with
-    | Assigned assignment ->
+    match run_round machine ~quality ~fresh mf blocks succs with
+    | Ok (cls_of, assigned) ->
       let map r =
         match r with
         | Mir.P _ -> r
-        | Mir.V v -> (
-          match Hashtbl.find_opt assignment v with
-          | Some (cls, idx) -> Mir.P (cls, idx)
-          | None ->
-            (* defined but never used and never live: give it any register *)
-            let ty =
-              match Hashtbl.find_opt mf.Mir.vreg_ty v with
-              | Some ty -> ty
-              | None -> fail "unassigned untyped v%d" v
-            in
-            Mir.P (Mir.class_of_type ty, 0))
+        | Mir.V v -> Mir.P (cls_of.(v), assigned.(v))
       in
       List.iter
         (fun (b : Mir.block) ->
@@ -407,13 +430,9 @@ let run ?account ~(quality : quality) (mf : Mir.func) : stats =
           b.Mir.mterm <- Mir.map_term_regs map b.Mir.mterm)
         mf.Mir.mblocks;
       mf.Mir.mparams <- List.map map mf.Mir.mparams
-    | Spill spills ->
-      if Sys.getenv_opt "PVJIT_RA_DEBUG" <> None then
-        Printf.eprintf "[ra] %s round %d: spilling %s\n%!" mf.Mir.mname
-          stats.rounds
-          (String.concat "," (List.map string_of_int spills));
+    | Error spills ->
       Pvir.Account.charge_opt account ~pass:"jit.spill" (Mir.size mf);
-      rewrite_spills mf ~unspillable ~stats spills;
+      rewrite_spills mf ~stats spills;
       go (budget - 1)
   in
   go 24;

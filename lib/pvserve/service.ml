@@ -76,11 +76,12 @@ type t = {
 (* Compilation proper (pure w.r.t. service state)                      *)
 
 (* Deterministic text rendering of a compile result: header, key, then
-   every function's MIR sorted by name.  Byte-equality of two artifacts
-   is the service's correctness oracle, so nothing non-deterministic
-   (timestamps, hash order) may leak in here. *)
-let render_artifact ~(machine : Pvmach.Machine.t) (key : Key.t)
-    (sim : Pvvm.Sim.t) (report : Pvjit.Jit.report) : string =
+   every function's MIR ([code] finds it by name) sorted by name.
+   Byte-equality of two artifacts is the service's correctness oracle, so
+   nothing non-deterministic (timestamps, hash order) may leak in here. *)
+let render ~(machine : Pvmach.Machine.t) (key : Key.t)
+    ~(code : string -> Pvmach.Mir.func option) (report : Pvjit.Jit.report) :
+    string =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "pvserve-artifact v1\nmachine %s\nkey %s\n"
     machine.Pvmach.Machine.name (Key.to_string key);
@@ -98,17 +99,25 @@ let render_artifact ~(machine : Pvmach.Machine.t) (key : Key.t)
         fr.Pvjit.Jit.ra.Pvjit.Regalloc.spill_instrs
         (Pvjit.Annot_check.status_name fr.Pvjit.Jit.annot_status)
         fr.Pvjit.Jit.mir_size;
-      match Hashtbl.find_opt sim.Pvvm.Sim.code fr.Pvjit.Jit.fname with
-      | Some ce -> Buffer.add_string buf
-          (Pvmach.Mir.func_to_string ce.Pvvm.Sim.cfn)
+      match code fr.Pvjit.Jit.fname with
+      | Some mf -> Buffer.add_string buf (Pvmach.Mir.func_to_string mf)
       | None -> Printf.bprintf buf "  <no code>\n")
     funcs;
   Buffer.contents buf
 
-(** Decode, load and JIT-compile [bytecode] for [machine] — the work a
-    cache miss pays.  Also the single-threaded oracle: the load
-    generator recompiles served keys through this very function and
-    demands byte-identical artifacts. *)
+(** The artifact of a simulator's code cache and its compile report. *)
+let render_artifact ~(machine : Pvmach.Machine.t) (key : Key.t)
+    (sim : Pvvm.Sim.t) (report : Pvjit.Jit.report) : string =
+  render ~machine key report ~code:(fun name ->
+      Option.map
+        (fun ce -> ce.Pvvm.Sim.cfn)
+        (Hashtbl.find_opt sim.Pvvm.Sim.code name))
+
+(** Decode, lay out and JIT-compile [bytecode] for [machine] — the work a
+    cache miss pays.  Compiling needs the global addresses only
+    ({!Pvvm.Image.layout}), so a miss allocates no VM memory.  Also the
+    single-threaded oracle: the load generator recompiles served keys
+    through this very function and demands byte-identical artifacts. *)
 let compile_artifact ~(machine : Pvmach.Machine.t) (bytecode : string) :
     (string, string) result =
   match Pvir.Serial.decode_result bytecode with
@@ -116,10 +125,18 @@ let compile_artifact ~(machine : Pvmach.Machine.t) (bytecode : string) :
   | Ok prog -> (
     let key = Key.of_bytecode ~machine bytecode in
     match
-      let img = Pvvm.Image.load prog in
-      Pvjit.Jit.compile_program ~machine ~hints:Pvjit.Jit.Hints_annotation img
+      let layout = Pvvm.Image.layout prog in
+      Pvjit.Jit.compile_funcs ~machine ~hints:Pvjit.Jit.Hints_annotation
+        ~resolve_global:(Pvvm.Image.layout_address layout)
+        prog
     with
-    | sim, report -> Ok (render_artifact ~machine key sim report)
+    | compiled ->
+      Ok
+        (render ~machine key (Pvjit.Jit.report_of compiled) ~code:(fun name ->
+             List.find_map
+               (fun ((mf : Pvmach.Mir.func), _) ->
+                 if mf.Pvmach.Mir.mname = name then Some mf else None)
+               compiled))
     | exception e -> Error ("compile: " ^ Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)

@@ -359,11 +359,11 @@ and exec_instr t frame (i : Pvir.Instr.t) : unit =
   | Pvir.Instr.Select (d, c, a, b) ->
     set_reg frame d (Pvir.Eval.select (v c) (v a) (v b))
   | Pvir.Instr.Load (ty, d, base, off) ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
-    set_reg frame d (Memory.load t.img.mem addr ty)
+    let base = Pvir.Value.to_int64 (v base) in
+    set_reg frame d (Memory.load t.img.mem base off ty)
   | Pvir.Instr.Store (_, src, base, off) ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
-    Memory.store t.img.mem addr (v src)
+    let base = Pvir.Value.to_int64 (v base) in
+    Memory.store t.img.mem base off (v src)
   | Pvir.Instr.Alloca (d, bytes) ->
     t.sp <- t.sp - bytes;
     if t.sp < t.img.globals_end then raise (Trap "stack overflow");
@@ -506,8 +506,8 @@ let dset_checked frame r v = frame.dregs.(r) <- v
    exact error otherwise *)
 let daddr frame r =
   match dreg frame r with
-  | Pvir.Value.Int (_, x) -> Int64.to_int x
-  | v -> Int64.to_int (Pvir.Value.to_int64 v)
+  | Pvir.Value.Int (_, x) -> x
+  | v -> Pvir.Value.to_int64 v
 
 (* branch condition: [Value.to_bool] with the [Int] shape inline *)
 let dbool frame c =
@@ -629,12 +629,11 @@ and dexec_instr t ec frame (i : Decode.dinstr) : unit =
     dset frame d (Pvir.Eval.select vc va vb)
   | Decode.DLoad { cost; ty; size; d; base; off } ->
     dcharge ec cost;
-    let addr = daddr frame base + off in
-    dset frame d (Memory.load_sized t.img.mem addr size ty)
+    dset frame d (Memory.load_sized t.img.mem (daddr frame base) off size ty)
   | Decode.DStore { cost; src; base; off } ->
     dcharge ec cost;
-    let addr = daddr frame base + off in
-    Memory.store t.img.mem addr (dreg frame src)
+    let base = daddr frame base in
+    Memory.store t.img.mem base off (dreg frame src)
   | Decode.DAlloca { cost; d; bytes } ->
     dcharge ec cost;
     t.sp <- t.sp - bytes;
@@ -709,11 +708,11 @@ and dexec_seed t ec frame (i : Pvir.Instr.t) : unit =
   | Pvir.Instr.Select (d, c, a, b) ->
     set d (Pvir.Eval.select (v c) (v a) (v b))
   | Pvir.Instr.Load (ty, d, base, off) ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
-    set d (Memory.load t.img.mem addr ty)
+    let base = Pvir.Value.to_int64 (v base) in
+    set d (Memory.load t.img.mem base off ty)
   | Pvir.Instr.Store (_, src, base, off) ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (v base)) + off in
-    Memory.store t.img.mem addr (v src)
+    let base = Pvir.Value.to_int64 (v base) in
+    Memory.store t.img.mem base off (v src)
   | Pvir.Instr.Alloca (d, bytes) ->
     t.sp <- t.sp - bytes;
     if t.sp < t.img.globals_end then raise (Trap "stack overflow");

@@ -50,28 +50,47 @@ let size m = m.size
 (** Headroom left under the allocation cap (telemetry). *)
 let alloc_headroom m = m.alloc_limit - m.size
 
+let fault_access m ea len =
+  fault "access [0x%Lx, +%d) outside memory of %d bytes" ea len m.size
+
 (* [addr > size - len], not [addr + len > size]: the sum wraps for
    addresses near [max_int] and would let the access through. *)
 let check m addr len =
   if addr < m.null_guard || len < 0 || addr > m.size - len then
-    fault "access [%d, %d) outside memory of %d bytes" addr (addr + len) m.size
+    fault_access m (Int64.of_int addr) len
 
-(** [load m addr ty] reads a value of type [ty] at byte address [addr]. *)
-let load m addr (ty : Pvir.Types.t) =
-  check m addr (Pvir.Types.size ty);
-  Pvir.Value.read_bytes m.bytes addr ty
+(** Guest addresses are unsigned 64-bit, and [base + off] wraps modulo
+    2{^64}.  [index ea] is [ea] as a host [int] when [ea < 2{^62}], which
+    covers every address a memory can map, and negative otherwise (bit 63
+    included), so the bounds test alone rejects every larger address: the
+    conversion adds no comparison. *)
+let index ea = Int64.to_int ea lor Int64.to_int (Int64.shift_right ea 63)
 
-(** [load_sized m addr size ty] is [load m addr ty] for callers that have
-    already computed [size = Types.size ty] (the pre-decoded engines do,
-    once per decoded instruction). *)
-let load_sized m addr size (ty : Pvir.Types.t) =
-  check m addr size;
-  Pvir.Value.read_bytes m.bytes addr ty
+(** [check_at m base off len] is the host index of the [len]-byte guest
+    access at [base + off].
+    @raise Fault naming the exact 64-bit address when it is unmapped. *)
+let[@inline] check_at m base off len =
+  let ea = Int64.add base (Int64.of_int off) in
+  let a = index ea in
+  if a < m.null_guard || a > m.size - len then fault_access m ea len;
+  a
 
-(** [store m addr v] writes [v] at byte address [addr]. *)
-let store m addr (v : Pvir.Value.t) =
-  check m addr (Pvir.Types.size (Pvir.Value.ty v));
-  Pvir.Value.write_bytes m.bytes addr v
+(** [load m base off ty] reads a value of type [ty] at guest address
+    [base + off]. *)
+let[@inline] load m base off (ty : Pvir.Types.t) =
+  Pvir.Value.read_bytes m.bytes (check_at m base off (Pvir.Types.size ty)) ty
+
+(** [load_sized m base off size ty] is [load m base off ty] for callers
+    that have already computed [size = Types.size ty] (the pre-decoded
+    engines do, once per decoded instruction). *)
+let[@inline] load_sized m base off size (ty : Pvir.Types.t) =
+  Pvir.Value.read_bytes m.bytes (check_at m base off size) ty
+
+(** [store m base off v] writes [v] at guest address [base + off]. *)
+let[@inline] store m base off (v : Pvir.Value.t) =
+  Pvir.Value.write_bytes m.bytes
+    (check_at m base off (Pvir.Types.size (Pvir.Value.ty v)))
+    v
 
 (** Whole-image copy-out, for checkpointing: every byte, including the
     null guard (all zero by construction) — so two memories with equal
@@ -101,5 +120,5 @@ let store_array m addr (vs : Pvir.Value.t array) =
   Array.iteri
     (fun i v ->
       let esz = Pvir.Types.size (Pvir.Value.ty v) in
-      store m (addr + (i * esz)) v)
+      store m (Int64.of_int addr) (i * esz) v)
     vs

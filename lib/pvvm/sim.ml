@@ -236,8 +236,8 @@ and exec_inst t frame (i : Mir.inst) : unit =
   | Mir.Msel ->
     set_reg rf (dst ()) (Pvir.Eval.select (operand 0) (operand 1) (operand 2))
   | Mir.Mload off ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (src1 ())) + off in
-    set_reg rf (dst ()) (Memory.load t.img.mem addr i.ty)
+    let base = Pvir.Value.to_int64 (src1 ()) in
+    set_reg rf (dst ()) (Memory.load t.img.mem base off i.ty)
   | Mir.Mstore off ->
     (* store operands are (value, base); with a folded immediate the value
        is the immediate and the base is the remaining register *)
@@ -247,8 +247,8 @@ and exec_inst t frame (i : Mir.inst) : unit =
       | [ b ], Some value -> (value, v b)
       | _ -> trap "store expects (value, base)"
     in
-    let addr = Int64.to_int (Pvir.Value.to_int64 base) + off in
-    Memory.store t.img.mem addr value
+    let base = Pvir.Value.to_int64 base in
+    Memory.store t.img.mem base off value
   | Mir.Mframe_addr off ->
     set_reg rf (dst ()) (Pvir.Value.i64 (Int64.of_int (frame.fp + off)))
   | Mir.Mframe_ld slot -> (
@@ -362,8 +362,8 @@ let sopnd frame = function
 (* address operand: the common [Int] shape inline, [Value.to_int64]'s
    exact error otherwise *)
 let saddr = function
-  | Pvir.Value.Int (_, x) -> Int64.to_int x
-  | v -> Int64.to_int (Pvir.Value.to_int64 v)
+  | Pvir.Value.Int (_, x) -> x
+  | v -> Pvir.Value.to_int64 v
 
 (** Look up (or build) the decoded form of a code-cache entry. *)
 let decoded t (ce : centry) : Mdecode.dfunc =
@@ -461,14 +461,12 @@ and sexec_inst t ec frame (i : Mdecode.dinst) : unit =
     sset frame d (Pvir.Eval.select vc va vb)
   | Mdecode.SLoad { cost; ty; size; d; base; off } ->
     scharge ec cost;
-    let addr = saddr (sopnd frame base) + off in
-    sset frame d (Memory.load_sized t.img.mem addr size ty)
+    sset frame d (Memory.load_sized t.img.mem (saddr (sopnd frame base)) off size ty)
   | Mdecode.SStore { cost; value; base; off } ->
     scharge ec cost;
     let vbase = sget frame base in
     let v = sopnd frame value in
-    let addr = saddr vbase + off in
-    Memory.store t.img.mem addr v
+    Memory.store t.img.mem (saddr vbase) off v
   | Mdecode.SFrameAddr { cost; d; off } ->
     scharge ec cost;
     sset frame d (Pvir.Value.i64 (Int64.of_int (frame.sfp + off)))
@@ -551,8 +549,8 @@ and sexec_seed t ec frame (i : Mir.inst) : unit =
   | Mir.Msel ->
     sset frame (dst ()) (Pvir.Eval.select (operand 0) (operand 1) (operand 2))
   | Mir.Mload off ->
-    let addr = Int64.to_int (Pvir.Value.to_int64 (src1 ())) + off in
-    sset frame (dst ()) (Memory.load t.img.mem addr i.Mir.ty)
+    let base = Pvir.Value.to_int64 (src1 ()) in
+    sset frame (dst ()) (Memory.load t.img.mem base off i.Mir.ty)
   | Mir.Mstore off ->
     let value, base =
       match (i.Mir.srcs, i.Mir.imm) with
@@ -560,8 +558,8 @@ and sexec_seed t ec frame (i : Mir.inst) : unit =
       | [ b ], Some value -> (value, v b)
       | _ -> trap "store expects (value, base)"
     in
-    let addr = Int64.to_int (Pvir.Value.to_int64 base) + off in
-    Memory.store t.img.mem addr value
+    let base = Pvir.Value.to_int64 base in
+    Memory.store t.img.mem base off value
   | Mir.Mframe_addr off ->
     sset frame (dst ()) (Pvir.Value.i64 (Int64.of_int (frame.sfp + off)))
   | Mir.Mframe_ld slot ->

@@ -121,6 +121,76 @@ let test_wrapping_address_faults () =
         (Core.Splitc.error_message (fault engine)))
     [ ("threaded", Pvvm.Interp.Threaded); ("aot", Pvvm.Interp.Aot) ]
 
+(* Guest addresses are exact 64-bit values.  The program stores 42 at
+   address 8, then loads from [addr]; with bit 63 (or bit 62) dropped by a
+   host-int conversion, [0x8000_0000_0000_0008] would alias address 8 and
+   return 42.  Every engine of the interpreter and of the simulator must
+   instead report one and the same classified fault, naming the real
+   address. *)
+let test_high_address_faults addr () =
+  let b =
+    Pvir.Builder.create ~name:"main" ~params:[] ~ret:(Some Pvir.Types.i64)
+  in
+  Pvir.Builder.store b Pvir.Types.i64
+    ~src:(Pvir.Builder.iconst b 42)
+    ~base:(Pvir.Builder.iconst b 8) ();
+  let base = Pvir.Builder.const b (Pvir.Value.i64 addr) in
+  Pvir.Builder.ret b (Some (Pvir.Builder.load b Pvir.Types.i64 ~base ()));
+  let p = Pvir.Prog.create "high" in
+  Pvir.Prog.add_func p (Pvir.Builder.func b);
+  let classify run =
+    match run () with
+    | r ->
+      Alcotest.failf "load from 0x%Lx returned %s" addr
+        (match r with Some v -> Pvir.Value.to_string v | None -> "nothing")
+    | exception e -> (
+      match Core.Splitc.classify e with
+      | Some err -> err
+      | None -> Alcotest.failf "unclassified: %s" (Printexc.to_string e))
+  in
+  let interp engine () =
+    let it = Pvvm.Interp.create ~engine (Pvvm.Image.load (Pvir.Prog.copy p)) in
+    (if engine = Pvvm.Interp.Aot then
+       match Pvaot.interp_status it with
+       | Ok _ -> ()
+       | Error r -> Alcotest.failf "interp AOT fell back: %s" r);
+    Pvvm.Interp.run it "main" []
+  in
+  let sim engine () =
+    let img = Pvvm.Image.load (Pvir.Prog.copy p) in
+    let sim, _ =
+      Pvjit.Jit.compile_program ~machine:Pvmach.Machine.x86ish
+        ~hints:Pvjit.Jit.Hints_none img
+    in
+    sim.Pvvm.Sim.engine <- engine;
+    (if engine = Pvvm.Sim.Aot then
+       match Pvaot.sim_status sim with
+       | Ok _ -> ()
+       | Error r -> Alcotest.failf "sim AOT fell back: %s" r);
+    Pvvm.Sim.run sim "main" []
+  in
+  let tw = classify (interp Pvvm.Interp.Tree_walk) in
+  Alcotest.(check int) "runtime trap exit code" 7 (Core.Splitc.exit_code tw);
+  let msg = Core.Splitc.error_message tw in
+  let hex = Printf.sprintf "0x%Lx" addr in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names %s" msg hex)
+    true
+    (let n = String.length hex in
+     let rec at i = i + n <= String.length msg && (String.sub msg i n = hex || at (i + 1)) in
+     at 0);
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check string) (name ^ ": same fault as tree-walk") msg
+        (Core.Splitc.error_message (classify run)))
+    [
+      ("interp threaded", interp Pvvm.Interp.Threaded);
+      ("interp aot", interp Pvvm.Interp.Aot);
+      ("sim tree-walk", sim Pvvm.Sim.Tree_walk);
+      ("sim threaded", sim Pvvm.Sim.Threaded);
+      ("sim aot", sim Pvvm.Sim.Aot);
+    ]
+
 (* ---------------- pinned random-program corpus ---------------- *)
 
 let is_fuel_outcome = function
@@ -489,6 +559,10 @@ let () =
         [
           Alcotest.test_case "wrapping address is a classified fault" `Quick
             test_wrapping_address_faults;
+          Alcotest.test_case "bit-63 address faults on every engine" `Quick
+            (test_high_address_faults 0x8000_0000_0000_0008L);
+          Alcotest.test_case "bit-62 address faults on every engine" `Quick
+            (test_high_address_faults 0x7FFF_FFFF_FFFF_FFFCL);
         ] );
       ( "cache",
         [

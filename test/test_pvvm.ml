@@ -9,31 +9,31 @@ let int_t = Alcotest.int
 
 let test_memory_load_store () =
   let m = Pvvm.Memory.create 256 in
-  Pvvm.Memory.store m 16 (Pvir.Value.i32 (-5));
+  Pvvm.Memory.store m 16L 0 (Pvir.Value.i32 (-5));
   check bool_t "i32 roundtrip" true
-    (Pvir.Value.equal (Pvvm.Memory.load m 16 Pvir.Types.i32) (Pvir.Value.i32 (-5)));
-  Pvvm.Memory.store m 32 (Pvir.Value.f64 2.75);
+    (Pvir.Value.equal (Pvvm.Memory.load m 16L 0 Pvir.Types.i32) (Pvir.Value.i32 (-5)));
+  Pvvm.Memory.store m 32L 0 (Pvir.Value.f64 2.75);
   check bool_t "f64 roundtrip" true
-    (Pvir.Value.equal (Pvvm.Memory.load m 32 Pvir.Types.f64) (Pvir.Value.f64 2.75));
+    (Pvir.Value.equal (Pvvm.Memory.load m 32L 0 Pvir.Types.f64) (Pvir.Value.f64 2.75));
   let v = Pvir.Value.vec (Array.init 4 (fun i -> Pvir.Value.i16 (i * 11))) in
-  Pvvm.Memory.store m 64 v;
+  Pvvm.Memory.store m 64L 0 v;
   check bool_t "vec roundtrip" true
-    (Pvir.Value.equal (Pvvm.Memory.load m 64 (Pvir.Types.vec Pvir.Types.I16 4)) v)
+    (Pvir.Value.equal (Pvvm.Memory.load m 64L 0 (Pvir.Types.vec Pvir.Types.I16 4)) v)
 
 let test_memory_little_endian () =
   let m = Pvvm.Memory.create 64 in
-  Pvvm.Memory.store m 8 (Pvir.Value.i32 0x01020304);
+  Pvvm.Memory.store m 8L 0 (Pvir.Value.i32 0x01020304);
   check bool_t "low byte first" true
-    (Pvir.Value.equal (Pvvm.Memory.load m 8 Pvir.Types.i8) (Pvir.Value.i8 4))
+    (Pvir.Value.equal (Pvvm.Memory.load m 8L 0 Pvir.Types.i8) (Pvir.Value.i8 4))
 
 let test_memory_bounds () =
   let m = Pvvm.Memory.create 64 in
   List.iter
     (fun addr ->
-      match Pvvm.Memory.load m addr Pvir.Types.i64 with
+      match Pvvm.Memory.load m addr 0 Pvir.Types.i64 with
       | exception Pvvm.Memory.Fault _ -> ()
       | _ -> Alcotest.fail "out-of-bounds access allowed")
-    [ -8; 0; 57; 64; 1000000 ]
+    [ -8L; 0L; 57L; 64L; 1000000L; Int64.min_int; Int64.add Int64.min_int 8L ]
 
 let test_memory_arrays () =
   let m = Pvvm.Memory.create 256 in
